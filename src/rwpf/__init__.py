@@ -7,14 +7,14 @@ randomized low-discrepancy point set conditional on the Poisson count.
 
 from . import bench, bridge, config, lowdisc, models, oracles, proposal, psi, smc
 from .bridge import LazyBridge
-from .models import DriftModel, ObservationModel, builtin
+from .models import DriftModel, builtin
 from .psi import PsiConfig, PsiEstimate
 from .smc import FilterConfig, ParticleCloud, run_filter
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LazyBridge", "DriftModel", "ObservationModel", "builtin",
+    "LazyBridge", "DriftModel", "builtin",
     "PsiConfig", "PsiEstimate", "FilterConfig", "ParticleCloud", "run_filter",
     "bench", "bridge", "config", "lowdisc", "models", "oracles",
     "proposal", "psi", "smc",

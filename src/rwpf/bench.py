@@ -16,7 +16,7 @@ import numpy as np
 from . import psi
 from .bridge import LazyBridge
 from .config import BenchConfig
-from .models import DriftModel
+from .models import DriftModel, validate_model
 from .rngs import NS_PSI_BENCH, stream
 
 
@@ -88,6 +88,7 @@ def _bootstrap_ratio_lower(mc_vals: np.ndarray, rq_vals: np.ndarray,
 
 
 def run_bench(model: DriftModel, bcfg: BenchConfig, master_seed: int) -> BenchResult:
+    validate_model(model)
     lo, hi = model.phi_bounds
     rows: list[BenchRow] = []
     stats: list[ModeStats] = []

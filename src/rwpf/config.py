@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 from . import models, psi
 from .errors import ConfigError
-
-_PROPOSALS = ("gaussian", "tilted")
-_RESAMPLERS = ("multinomial", "systematic", "stratified")
+from .proposal import MODE_TILTED, PROPOSALS
+from .smc import RESAMPLING_SCHEMES, check_observation_times
 
 
 def canonical_json(obj) -> str:
@@ -34,8 +33,8 @@ class BenchConfig:
     inner_points_grid: tuple[int, ...]
     replications: int
     modes: tuple[str, ...]
-    kappa_cap: int = 64
-    randomization: str = "digital-shift"
+    kappa_cap: int = psi.PsiConfig.rqmc_kappa_cap
+    randomization: str = psi.PsiConfig.randomization
 
 
 @dataclass(frozen=True)
@@ -140,15 +139,18 @@ def _obs_times(raw: dict) -> tuple[float, ...]:
     elif isinstance(given, dict):
         count = given.get("count")
         spacing = given.get("spacing")
-        if not isinstance(count, int) or count < 1:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError("observation_times.count: expected positive integer")
-        if not isinstance(spacing, (int, float)) or spacing <= 0:
+        if (not isinstance(spacing, (int, float)) or isinstance(spacing, bool)
+                or spacing <= 0):
             raise ConfigError("observation_times.spacing: expected positive number")
         times = [spacing * (k + 1) for k in range(count)]
     else:
         raise ConfigError("observation_times: expected a list or {count, spacing}")
-    if any(t <= 0 for t in times[:1]) or any(v <= u for u, v in zip(times, times[1:])):
-        raise ConfigError("observation_times: must be strictly increasing and > 0")
+    try:
+        check_observation_times(times)
+    except ValueError as exc:
+        raise ConfigError(f"observation_times: {exc}") from None
     return tuple(times)
 
 
@@ -162,11 +164,12 @@ def _psi_config(raw: dict) -> psi.PsiConfig:
     if not isinstance(sub, dict):
         raise ConfigError("psi: expected an object")
     sub = dict(sub)
+    d = psi.PsiConfig  # its field defaults are the config defaults
     kwargs = {
-        "mode": _canon_mode(_take(sub, "mode", str, default="mc")),
-        "inner_points": _take(sub, "inner_points", int, default=1),
-        "rqmc_kappa_cap": _take(sub, "kappa_cap", int, default=64),
-        "randomization": _take(sub, "randomization", str, default="digital-shift"),
+        "mode": _canon_mode(_take(sub, "mode", str, default=d.mode)),
+        "inner_points": _take(sub, "inner_points", int, default=d.inner_points),
+        "rqmc_kappa_cap": _take(sub, "kappa_cap", int, default=d.rqmc_kappa_cap),
+        "randomization": _take(sub, "randomization", str, default=d.randomization),
     }
     if sub:
         raise ConfigError(f"psi: unknown fields {sorted(sub)}")
@@ -188,9 +191,8 @@ def _bench_config(raw: dict) -> BenchConfig | None:
         raise ConfigError("bench.inner_points_grid: expected positive integers")
     modes = [_canon_mode(m) for m in
              _take(sub, "modes", list, default=["mc", "rqmc-times-values"])]
-    known = (psi.MODE_MC, psi.MODE_RQMC_TIMES, psi.MODE_RQMC_TIMES_VALUES)
-    if any(m not in known for m in modes):
-        raise ConfigError(f"bench.modes: entries must be among {known}")
+    if any(m not in psi.MODES for m in modes):
+        raise ConfigError(f"bench.modes: entries must be among {psi.MODES}")
     cfg = BenchConfig(
         x_a=_take(sub, "x_a", float, required=True),
         x_b=_take(sub, "x_b", float, required=True),
@@ -199,8 +201,8 @@ def _bench_config(raw: dict) -> BenchConfig | None:
         inner_points_grid=tuple(grid),
         replications=_take(sub, "replications", int, required=True),
         modes=tuple(modes),
-        kappa_cap=_take(sub, "kappa_cap", int, default=64),
-        randomization=_take(sub, "randomization", str, default="digital-shift"),
+        kappa_cap=_take(sub, "kappa_cap", int, default=BenchConfig.kappa_cap),
+        randomization=_take(sub, "randomization", str, default=BenchConfig.randomization),
     )
     if sub:
         raise ConfigError(f"bench: unknown fields {sorted(sub)}")
@@ -233,14 +235,14 @@ def parse_config(raw: dict) -> RunConfig:
     ess_threshold = _take(resampling, "ess_threshold", float, default=0.5)
     if resampling:
         raise ConfigError(f"resampling: unknown fields {sorted(resampling)}")
-    if scheme not in _RESAMPLERS:
-        raise ConfigError(f"resampling.scheme: must be one of {_RESAMPLERS}")
+    if scheme not in RESAMPLING_SCHEMES:
+        raise ConfigError(f"resampling.scheme: must be one of {RESAMPLING_SCHEMES}")
     if not 0.0 <= ess_threshold <= 1.0:
         raise ConfigError("resampling.ess_threshold: must be in [0, 1]")
 
     proposal = _take(raw, "proposal", str, default="gaussian")
-    if proposal not in _PROPOSALS:
-        raise ConfigError(f"proposal: must be one of {_PROPOSALS}")
+    if proposal not in PROPOSALS:
+        raise ConfigError(f"proposal: must be one of {PROPOSALS}")
 
     n_particles = _take(raw, "particles", int, default=256)
     if n_particles < 1:
@@ -275,7 +277,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config: unknown fields {sorted(raw)}")
 
     model = cfg.build_model()  # validates name + params
-    if cfg.proposal == "tilted" and model.tilted_log_normalizer is None:
+    if cfg.proposal == MODE_TILTED and model.tilted_log_normalizer is None:
         raise ConfigError(
             f"proposal: model {name!r} lacks tilted_normalizer; use \"gaussian\""
         )

@@ -4,23 +4,24 @@ the path functional phi = (alpha^2 + alpha')/2 with global bounds, and
 optional closed-form extras (exact transition density, exact tilted
 sampler, tilted normalizing constant, rejection envelope).
 
-Models are immutable and validated at registration: the (A, alpha,
-alpha') triple must pass finite-difference consistency checks and the
-declared bounds must dominate phi on a dense grid, which is what rejects
-drifts with unbounded phi such as alpha(x) = -theta*x.
+Models are immutable and validated once, by ``builtin`` or on entry to
+the filter and the benchmark: the (A, alpha, alpha') triple must pass
+finite-difference consistency checks and the declared bounds must
+dominate phi on a dense grid, which is what rejects drifts with
+unbounded phi such as alpha(x) = -theta*x.
 
 Conventions: unit diffusion coefficient, A(0) = 0.
 """
 
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UnsupportedOperationError
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .stats import _LOG_2PI
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,45 +51,11 @@ class DriftModel:
     # the tilted kernel *is* the transition law (phi constant)
     tilted_is_exact_transition: bool = False
 
-    @property
-    def capabilities(self) -> frozenset[str]:
-        caps = set()
-        if self.exact_log_density is not None:
-            caps.add("exact_transition_density")
-        if self.tilted_sampler is not None:
-            caps.add("tilted_sampler")
-        if self.tilted_log_normalizer is not None:
-            caps.add("tilted_normalizer")
-        if self.rejection_log_envelope is not None:
-            caps.add("rejection_envelope")
-        if self.tilted_is_exact_transition:
-            caps.add("exact_transition_sampler")
-        return frozenset(caps)
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    """Additive Gaussian observation noise at strictly increasing times."""
-
-    noise_sd: float
-    times: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
-        ts = self.times
-        if any(t <= 0 for t in ts[:1]) or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("observation times must be strictly increasing and > 0")
-
 
 def phi(model: DriftModel, u):
     """(alpha(u)^2 + alpha'(u)) / 2, scalar or array."""
     a = model.alpha(u)
     return (a * a + model.alpha_prime(u)) / 2.0
-
-
-def phi_bounds(model: DriftModel) -> tuple[float, float]:
-    return model.phi_bounds
 
 
 def exact_transition_density(model: DriftModel, x_a, x_b, t):
@@ -102,9 +69,15 @@ def exact_transition_density(model: DriftModel, x_a, x_b, t):
     return np.exp(model.exact_log_density(x_a, x_b, t))
 
 
-def validate_model(model: DriftModel, state_range=(-20.0, 20.0)) -> DriftModel:
-    """Registration gate: derivative/antiderivative consistency and bound
-    domination, checked on grids; raises ValueError on any failure."""
+_VALIDATED = weakref.WeakSet()  # models that have passed validate_model
+
+
+def validate_model(model: DriftModel) -> DriftModel:
+    """Derivative/antiderivative consistency and bound domination, checked
+    on grids; raises ValueError on any failure. A model that has passed
+    once is not checked again."""
+    if model in _VALIDATED:
+        return model
     h, tol = 1e-5, 1e-6
     x = np.arange(-5.0, 5.0 + 1e-12, 0.1)
     fd_alpha_prime = (model.alpha(x + h) - model.alpha(x - h)) / (2 * h)
@@ -114,7 +87,7 @@ def validate_model(model: DriftModel, state_range=(-20.0, 20.0)) -> DriftModel:
     if not np.all(np.abs(model.alpha(x) - fd_alpha) <= tol):
         raise ValueError(f"model {model.name!r}: alpha inconsistent with big_a")
 
-    lo, hi = state_range
+    lo, hi = -20.0, 20.0
     grid = np.linspace(lo, hi, 100_000)
     vals = phi(model, grid)
     l_bound, u_bound = model.phi_bounds
@@ -128,6 +101,7 @@ def validate_model(model: DriftModel, state_range=(-20.0, 20.0)) -> DriftModel:
     scal = np.array([model.phi_scalar(float(u)) for u in x])
     if not np.allclose(scal, phi(model, x), rtol=0, atol=1e-12):
         raise ValueError(f"model {model.name!r}: phi_scalar disagrees with phi")
+    _VALIDATED.add(model)
     return model
 
 

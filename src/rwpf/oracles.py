@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedOperationError
 from .models import DriftModel, phi
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .smc import check_observation_times
+from .stats import _LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,7 @@ def grid_filter(model: DriftModel, observations, grid: GridSpec, x0: float,
         )
     if noise_sd <= 0:
         raise ValueError("grid_filter needs noise_sd > 0")
+    check_observation_times([t for t, _ in observations])
     x = grid.nodes()
     wq = _trapezoid_weights(x)
     var_obs = noise_sd * noise_sd
@@ -141,8 +142,6 @@ def grid_filter(model: DriftModel, observations, grid: GridSpec, x0: float,
     prev_t = 0.0
     for t, y in observations:
         dt = t - prev_t
-        if dt <= 0:
-            raise ValueError("observation times must be strictly increasing")
         if density is None:
             predicted = np.exp(model.exact_log_density(x0, x, dt))
         else:

@@ -15,12 +15,13 @@ proposal modes cover the two ways of placing the tilt:
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericError, UnsupportedOperationError
 from .models import DriftModel
 
 MODE_GAUSSIAN = "gaussian"
+MODE_TILTED = "tilted"
+PROPOSALS = (MODE_GAUSSIAN, MODE_TILTED)
+# outcome tags of the tilted proposal
 MODE_TILTED_EXACT = "tilted-exact"
 MODE_TILTED_REJECTION = "tilted-rejection"
 
@@ -69,6 +70,11 @@ def sample_tilted(model: DriftModel, x_a: float, a: float, b: float,
     for trial in range(MAX_REJECTION_TRIALS):
         z = x_a + sqrt_t * rng.normal()
         log_acc = float(model.big_a(z)) - a_at_xa - log_env
+        if log_acc > 1e-12:
+            raise NumericError(
+                f"rejection envelope of model {model.name!r} does not dominate "
+                f"the tilt at x_a={x_a} (log acceptance {log_acc} at z={z})"
+            )
         if rng.random() < math.exp(log_acc):
             return z, trial, MODE_TILTED_REJECTION
     raise NumericError(
@@ -92,25 +98,9 @@ def propose_tilted(model: DriftModel, x_a: float, a: float, b: float,
 
 def propose(model: DriftModel, x_a: float, a: float, b: float, rng,
             mode: str) -> ProposalOutcome:
-    if mode == "gaussian":
+    if mode == MODE_GAUSSIAN:
         return propose_gaussian(model, x_a, a, b, rng)
-    if mode == "tilted":
+    if mode == MODE_TILTED:
         return propose_tilted(model, x_a, a, b, rng)
     raise ValueError(f"unknown proposal mode {mode!r}")
 
-
-def acceptance_rate_probe(model: DriftModel, x_a: float, t: float, n: int,
-                          rng) -> float:
-    """Empirical acceptance fraction of the rejection envelope over n trials."""
-    if n < 1:
-        raise ValueError("acceptance_rate_probe needs n >= 1 trials")
-    if model.rejection_log_envelope is None:
-        raise UnsupportedOperationError(
-            f"model {model.name!r} declares no rejection envelope"
-        )
-    log_env = model.rejection_log_envelope(x_a)
-    z = x_a + math.sqrt(t) * rng.standard_normal(n)
-    log_acc = np.asarray(model.big_a(z)) - float(model.big_a(x_a)) - log_env
-    if np.any(log_acc > 1e-12):
-        raise NumericError(f"envelope of model {model.name!r} is not dominating")
-    return float(np.mean(rng.random(n) < np.exp(log_acc)))

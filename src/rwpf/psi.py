@@ -7,22 +7,25 @@ kappa ~ Poisson((U-L)(b-a)) and kappa uniform times on [a, b], then
 
     e^{-L(b-a)} * prod_i (U - phi(W_{xi_i})) / (U - L)
 
-has the right mean. Three modes are provided:
+has the right mean. The estimate averages M such products; the three
+modes differ only in where each product gets its times and bridge
+uniforms:
 
-* ``mc``: kappa drawn once, M independent inner replicates of the
-  product (fresh uniform times each, one shared lazy bridge), averaged.
-* ``rqmc-times``: kappa drawn pseudo-randomly, then a randomized
-  low-discrepancy point set of dimension kappa supplies the M time
-  vectors; bridge values stay pseudo-random and are memoized across
-  points on the shared skeleton.
+* ``mc``: fresh i.i.d. uniform times per product; bridge values are
+  pseudo-random and memoized on one shared lazy skeleton.
+* ``rqmc-times``: a randomized low-discrepancy point set of dimension
+  kappa supplies the M time vectors; bridge values as in ``mc``.
 * ``rqmc-times-values``: dimension 2*kappa; each point carries both its
   times and the uniforms that drive the bridge values through the
   inverse CDF. The skeleton is rolled back between points, so points are
   conditionally independent given the endpoints and each randomized
   point being uniform makes the average unbiased.
 
-kappa is always pseudo-random, never taken from the point set. Above the
-configured kappa cap the point-set modes fall back to plain MC (tagged
+There are two entry points: ``estimate`` draws kappa itself, and
+``estimate_with_kappa`` takes one drawn by the caller (the paired
+benchmark offers the same kappa to every mode). kappa is always
+pseudo-random, never taken from the point set. Above the configured
+kappa cap the point-set modes fall back to plain MC (tagged
 ``mc-fallback``), reflecting that the point-set route only pays off when
 kappa is small.
 """
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lowdisc
-from .bridge import LazyBridge
+from .bridge import _TINY, LazyBridge
 from .errors import NumericError, UnsupportedDimensionError
 from .models import DriftModel
 from .rngs import fresh_seed
@@ -43,8 +46,7 @@ MODE_RQMC_TIMES = "rqmc-times"
 MODE_RQMC_TIMES_VALUES = "rqmc-times-values"
 MODE_MC_FALLBACK = "mc-fallback"
 
-_MODES = (MODE_MC, MODE_RQMC_TIMES, MODE_RQMC_TIMES_VALUES)
-_TINY = 5e-324
+MODES = (MODE_MC, MODE_RQMC_TIMES, MODE_RQMC_TIMES_VALUES)
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class PsiConfig:
     randomization: str = lowdisc.SCHEME_DIGITAL_SHIFT
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown psi mode {self.mode!r}; known: {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown psi mode {self.mode!r}; known: {MODES}")
         if self.inner_points < 1:
             raise ValueError("inner_points must be >= 1")
         if self.rqmc_kappa_cap < 1:
@@ -80,17 +82,6 @@ class PsiEstimate:
     n_time_collisions: int = 0
 
 
-@dataclass
-class PsiSummary:
-    n: int
-    mean: float
-    variance: float
-    se: float
-    kappa_hist: dict[int, int]
-    mean_bridge_queries: float
-    degenerate: bool
-
-
 def sample_kappa(rate_interval: tuple[float, float], a: float, b: float, rng) -> int:
     """Poisson((U - L) * (b - a)) draw; zero surely when U == L."""
     lo, hi = rate_interval
@@ -104,100 +95,38 @@ def sample_kappa(rate_interval: tuple[float, float], a: float, b: float, rng) ->
     return int(rng.poisson(rate))
 
 
-def _check_value(value: float) -> float:
-    if not math.isfinite(value):
-        raise NumericError(f"psi estimate is not finite: {value!r}")
-    return value
-
-
-def _inner_mc(model: DriftModel, bridge: LazyBridge, m_points: int,
-              kappa: int, rng) -> float:
-    """Mean over m_points replicates of the kappa-term product, fresh
-    uniform times per replicate, values from the shared bridge."""
-    lo, hi = model.phi_bounds
-    inv = 1.0 / (hi - lo)
-    phi_s = model.phi_scalar
-    value_at = bridge.value_at
-    a, b = bridge.a, bridge.b
-    acc = 0.0
-    for _ in range(m_points):
-        times = rng.uniform(a, b, kappa)
-        prod = 1.0
-        for t in times:
-            prod *= (hi - phi_s(value_at(float(t), rng))) * inv
-        acc += prod
-    return acc / m_points
-
-
-def estimate_mc(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
-                rng) -> PsiEstimate:
-    """Plain Monte Carlo estimate; cfg.inner_points = 1 is the basic
-    single-product estimator."""
-    if cfg.mode != MODE_MC:
-        raise ValueError(f"estimate_mc requires mode 'mc', got {cfg.mode!r}")
-    return _mc_with_kappa(model, bridge, cfg, rng, None, MODE_MC)
-
-
-def _mc_with_kappa(model, bridge, cfg, rng, kappa, mode_tag) -> PsiEstimate:
-    lo, _hi = model.phi_bounds
-    span = bridge.b - bridge.a
-    if kappa is None:
-        kappa = sample_kappa(model.phi_bounds, bridge.a, bridge.b, rng)
-    base = math.exp(-lo * span)
-    if kappa == 0:
-        return PsiEstimate(base, 0, mode_tag, 0)
-    before = bridge.total_inserted
-    mean = _inner_mc(model, bridge, cfg.inner_points, kappa, rng)
-    return PsiEstimate(_check_value(base * mean), kappa, mode_tag,
-                       bridge.total_inserted - before)
-
-
-def estimate_rqmc(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
-                  rng) -> PsiEstimate:
-    """Point-set estimate conditional on a pseudo-random kappa."""
-    if cfg.mode not in (MODE_RQMC_TIMES, MODE_RQMC_TIMES_VALUES):
-        raise ValueError(f"estimate_rqmc requires an rqmc mode, got {cfg.mode!r}")
-    return _rqmc_with_kappa(model, bridge, cfg, rng, None)
-
-
-def _rqmc_with_kappa(model, bridge, cfg, rng, kappa) -> PsiEstimate:
+def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
+              kappa: int) -> PsiEstimate:
+    """The estimator body behind both entry points."""
     lo, hi = model.phi_bounds
     a, b = bridge.a, bridge.b
     span = b - a
-    if kappa is None:
-        kappa = sample_kappa(model.phi_bounds, a, b, rng)
+    base = math.exp(-lo * span)
+    mode = cfg.mode
     if kappa == 0:
-        return PsiEstimate(math.exp(-lo * span), 0, cfg.mode, 0)
-    if kappa > cfg.rqmc_kappa_cap:
-        return _mc_with_kappa(model, bridge, cfg, rng, kappa, MODE_MC_FALLBACK)
+        return PsiEstimate(base, 0, mode, 0)
+    if mode != MODE_MC and kappa > cfg.rqmc_kappa_cap:
+        mode = MODE_MC_FALLBACK
 
-    dim = kappa if cfg.mode == MODE_RQMC_TIMES else 2 * kappa
-    if dim > lowdisc.MAX_DIMENSION:
-        raise UnsupportedDimensionError(
-            f"mode {cfg.mode} needs dimension {dim} for kappa={kappa}, "
-            f"above the supported {lowdisc.MAX_DIMENSION}; lower rqmc_kappa_cap"
-        )
-    points = lowdisc.randomize(
-        lowdisc.generate_base(dim, cfg.inner_points),
-        cfg.randomization, fresh_seed(rng),
-    ).points
+    points = None
+    if mode in (MODE_RQMC_TIMES, MODE_RQMC_TIMES_VALUES):
+        dim = kappa if mode == MODE_RQMC_TIMES else 2 * kappa
+        if dim > lowdisc.MAX_DIMENSION:
+            raise UnsupportedDimensionError(
+                f"mode {mode} needs dimension {dim} for kappa={kappa}, "
+                f"above the supported {lowdisc.MAX_DIMENSION}; lower rqmc_kappa_cap"
+            )
+        points = lowdisc.randomize(
+            lowdisc.generate_base(dim, cfg.inner_points),
+            cfg.randomization, fresh_seed(rng),
+        ).points
 
     inv = 1.0 / (hi - lo)
     phi_s = model.phi_scalar
-    base = math.exp(-lo * span)
     before = bridge.total_inserted
     collisions = 0
     acc = 0.0
-    if cfg.mode == MODE_RQMC_TIMES:
-        value_at = bridge.value_at
-        for m in range(cfg.inner_points):
-            row = points[m]
-            prod = 1.0
-            for i in range(kappa):
-                w = value_at(a + span * float(row[i]), rng)
-                prod *= (hi - phi_s(w)) * inv
-            acc += prod
-    else:
+    if mode == MODE_RQMC_TIMES_VALUES:
         snap = bridge.snapshot()
         for m in range(cfg.inner_points):
             row = points[m]
@@ -218,17 +147,26 @@ def _rqmc_with_kappa(model, bridge, cfg, rng, kappa) -> PsiEstimate:
                 prod *= (hi - phi_s(w)) * inv
             acc += prod
             bridge.restore(snap)
+    else:
+        # mc and rqmc-times: one skeleton shared across the M products
+        value_at = bridge.value_at
+        for m in range(cfg.inner_points):
+            times = rng.uniform(a, b, kappa) if points is None else a + span * points[m]
+            prod = 1.0
+            for t in times:
+                prod *= (hi - phi_s(value_at(float(t), rng))) * inv
+            acc += prod
     value = base * (acc / cfg.inner_points)
-    return PsiEstimate(_check_value(value), kappa, cfg.mode,
-                       bridge.total_inserted - before, collisions)
+    if not math.isfinite(value):
+        raise NumericError(f"psi estimate is not finite: {value!r}")
+    return PsiEstimate(value, kappa, mode, bridge.total_inserted - before, collisions)
 
 
 def estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
              rng) -> PsiEstimate:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == MODE_MC:
-        return estimate_mc(model, bridge, cfg, rng)
-    return estimate_rqmc(model, bridge, cfg, rng)
+    """Estimate with kappa drawn from ``rng`` by ``sample_kappa``."""
+    kappa = sample_kappa(model.phi_bounds, bridge.a, bridge.b, rng)
+    return _estimate(model, bridge, cfg, rng, kappa)
 
 
 def estimate_with_kappa(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
@@ -241,33 +179,4 @@ def estimate_with_kappa(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    if cfg.mode == MODE_MC:
-        return _mc_with_kappa(model, bridge, cfg, rng, kappa, MODE_MC)
-    return _rqmc_with_kappa(model, bridge, cfg, rng, kappa)
-
-
-def psi_diagnostics(estimates) -> PsiSummary:
-    """Summary statistics over a collection of estimates."""
-    ests = list(estimates)
-    if not ests:
-        raise ValueError("psi_diagnostics needs at least one estimate")
-    values = np.array([e.value for e in ests])
-    n = len(values)
-    if np.all(values == values[0]):
-        # a deterministic estimator must report exactly zero spread
-        mean, variance = float(values[0]), 0.0
-    else:
-        mean = float(values.mean())
-        variance = float(values.var(ddof=1)) if n > 1 else 0.0
-    hist: dict[int, int] = {}
-    for e in ests:
-        hist[e.kappa] = hist.get(e.kappa, 0) + 1
-    return PsiSummary(
-        n=n,
-        mean=mean,
-        variance=variance,
-        se=math.sqrt(variance / n) if n > 1 else 0.0,
-        kappa_hist=dict(sorted(hist.items())),
-        mean_bridge_queries=float(np.mean([e.n_bridge_queries for e in ests])),
-        degenerate=(n == 1 or variance == 0.0),
-    )
+    return _estimate(model, bridge, cfg, rng, kappa)

@@ -22,11 +22,17 @@ from scipy.special import logsumexp
 from . import proposal, psi
 from .bridge import LazyBridge
 from .errors import DegeneracyError, NumericError
-from .models import DriftModel
+from .models import DriftModel, validate_model
 from .rngs import NS_FILTER, particle_streams
 from .stats import norm_logpdf
 
 RESAMPLING_SCHEMES = ("multinomial", "systematic", "stratified")
+
+
+def check_observation_times(times) -> None:
+    """Raise ValueError unless times are strictly increasing and > 0."""
+    if any(t <= 0 for t in times[:1]) or any(v <= u for u, v in zip(times, times[1:])):
+        raise ValueError("observation times must be strictly increasing and > 0")
 
 
 @dataclass
@@ -210,10 +216,10 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
 def run_filter(model: DriftModel, observations, cfg: FilterConfig
                ) -> tuple[list[FilterStepReport], float]:
     """Fold `step` over (time, value) observations; returns per-step reports
-    and the total log-likelihood estimate."""
-    times = [t for t, _ in observations]
-    if any(t <= 0 for t in times[:1]) or any(v <= u for u, v in zip(times, times[1:])):
-        raise ValueError("observation times must be strictly increasing and > 0")
+    and the total log-likelihood estimate. A model that has not passed
+    validate_model is validated first."""
+    validate_model(model)
+    check_observation_times([t for t, _ in observations])
 
     cloud = init_cloud(cfg.n_particles, cfg.x0, cfg.master_seed)
     reports: list[FilterStepReport] = []

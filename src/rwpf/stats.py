@@ -71,8 +71,3 @@ def norm_logpdf(x, mean, var):
     """Log density of Normal(mean, var) at x (scalar)."""
     d = x - mean
     return -0.5 * (_LOG_2PI + math.log(var) + d * d / var)
-
-
-def norm_pdf(x, mean, var):
-    """Density of Normal(mean, var) at x (scalar)."""
-    return math.exp(norm_logpdf(x, mean, var))

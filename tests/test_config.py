@@ -70,6 +70,8 @@ def test_rqmc_mode_alias_selects_default_layout():
     (dict(resampling={"scheme": "residual"}), "resampling.scheme"),
     (dict(euler_steps_per_unit=10), "euler_steps_per_unit"),
     (dict(unknown_top_level=1), "unknown"),
+    (dict(observation_times={"count": True, "spacing": True}), "observation_times"),
+    (dict(observation_times={"count": 2, "spacing": True}), "observation_times"),
 ])
 def test_parse_field_errors(mutation, fragment):
     raw = _base_config()

@@ -5,8 +5,7 @@ import pytest
 
 from rwpf import models
 from rwpf.errors import UnsupportedOperationError
-from rwpf.models import (DriftModel, ObservationModel, builtin,
-                         exact_transition_density, phi, phi_bounds,
+from rwpf.models import (DriftModel, builtin, exact_transition_density, phi,
                          validate_model)
 
 GRID = np.arange(-5.0, 5.0 + 1e-12, 0.1)
@@ -20,9 +19,9 @@ def test_phi_values():
 
 
 def test_phi_bounds_builtin():
-    assert phi_bounds(builtin("zero")) == (0.0, 0.0)
-    assert phi_bounds(builtin("tanh")) == (0.5, 0.5)
-    assert phi_bounds(builtin("sine")) == (-0.5, 0.625)
+    assert builtin("zero").phi_bounds == (0.0, 0.0)
+    assert builtin("tanh").phi_bounds == (0.5, 0.5)
+    assert builtin("sine").phi_bounds == (-0.5, 0.625)
 
 
 @pytest.mark.parametrize("theta", [0.2, 0.5, 1.0, 1.7, -0.3, -2.0])
@@ -91,10 +90,10 @@ def test_builtin_unknown_and_bad_params():
 
 
 def test_capabilities():
-    assert "exact_transition_density" in builtin("tanh").capabilities
-    assert "tilted_normalizer" in builtin("tanh").capabilities
-    assert "exact_transition_density" not in builtin("sine").capabilities
-    assert "rejection_envelope" in builtin("sine").capabilities
+    assert builtin("tanh").exact_log_density is not None
+    assert builtin("tanh").tilted_log_normalizer is not None
+    assert builtin("sine").exact_log_density is None
+    assert builtin("sine").rejection_log_envelope is not None
 
 
 def test_unbounded_phi_rejected_at_registration():
@@ -122,17 +121,6 @@ def test_inconsistent_derivative_rejected():
     )
     with pytest.raises(ValueError, match="alpha_prime"):
         validate_model(broken)
-
-
-def test_observation_model_validation():
-    ObservationModel(0.5, (1.0, 2.0, 3.0))
-    ObservationModel(0.0, (1.0,))
-    with pytest.raises(ValueError):
-        ObservationModel(-1.0, (1.0,))
-    with pytest.raises(ValueError):
-        ObservationModel(1.0, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        ObservationModel(1.0, (0.0, 1.0))
 
 
 def test_builtin_cache_returns_same_instance():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,15 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from rwpf import proposal, smc
-from rwpf.errors import UnsupportedOperationError
-from rwpf.models import builtin, exact_transition_density
+from rwpf.errors import NumericError, UnsupportedOperationError
+from rwpf.models import DriftModel, builtin, exact_transition_density
 from rwpf.psi import PsiConfig
 from rwpf.rngs import stream
-from rwpf.stats import norm_pdf
+from rwpf.stats import norm_logpdf
+
+
+def norm_pdf(x, mean, var):
+    return math.exp(norm_logpdf(x, mean, var))
 
 
 def test_gaussian_zero_drift_weight_factor():
@@ -107,6 +112,12 @@ def test_sine_rejection_sampler_against_quadrature():
         return norm_pdf(x, 0.0, 1.0) * math.exp(1.0 - math.cos(x))
 
     z, _ = quad(unnorm, -9.0, 9.0, limit=200)
+    # acceptance rate z / e^2 under the envelope e^2, estimated over all
+    # n + n_rej trials
+    trials = n + n_rej
+    target = z / math.exp(2.0)
+    assert abs(n / trials - target) < 4 * math.sqrt(target * (1 - target) / trials)
+
     xs = np.linspace(-9.0, 9.0, 20_001)
     pdf = np.array([unnorm(x) for x in xs]) / z
     cdf_grid = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2
@@ -114,28 +125,6 @@ def test_sine_rejection_sampler_against_quadrature():
     cdf_grid /= cdf_grid[-1]
     stat = kstest(draws, lambda v: np.interp(v, xs, cdf_grid))
     assert stat.pvalue > 1e-3
-
-
-def test_acceptance_rate_probe():
-    zero = builtin("zero")
-    assert proposal.acceptance_rate_probe(zero, 0.0, 1.0, 1000, stream(9, 0)) == 1.0
-
-    sine = builtin("sine")
-    n = 100_000
-    rate = proposal.acceptance_rate_probe(sine, 0.0, 1.0, n, stream(10, 0))
-
-    def integrand(x):
-        return norm_pdf(x, 0.0, 1.0) * math.exp(1.0 - math.cos(x))
-
-    target = quad(integrand, -9.0, 9.0, limit=200)[0] / math.exp(2.0)
-    se = math.sqrt(target * (1 - target) / n)
-    assert abs(rate - target) < 4 * se
-
-    with pytest.raises(ValueError):
-        proposal.acceptance_rate_probe(sine, 0.0, 1.0, 0, stream(11, 0))
-    tanh = builtin("tanh")
-    with pytest.raises(UnsupportedOperationError):
-        proposal.acceptance_rate_probe(tanh, 0.0, 1.0, 10, stream(12, 0))
 
 
 def test_weighting_identity_tanh():
@@ -172,9 +161,27 @@ def test_mode_equivalence_tanh_filter():
     assert abs(diff) < 4 * se
 
 
+def test_understated_envelope_is_numeric_failure():
+    # the sine tilt exp{cos(x_a) - cos(z)} reaches e^2, above the declared e^0.5
+    understated = DriftModel(
+        name="understated",
+        alpha=np.sin, alpha_prime=np.cos,
+        big_a=lambda u: 1.0 - np.cos(u),
+        phi_bounds=(-0.5, 0.625),
+        phi_scalar=lambda u: (math.sin(u) ** 2 + math.cos(u)) / 2.0,
+        rejection_log_envelope=lambda x_a: 0.5,
+    )
+    rng = stream(9, 0)
+    with pytest.raises(NumericError, match=r"'understated'.*x_a=0\.0"):
+        for _ in range(1000):
+            proposal.sample_tilted(understated, 0.0, 0.0, 1.0, rng)
+    # with neither a sampler nor an envelope there is nothing to draw from
+    bare = dataclasses.replace(understated, rejection_log_envelope=None)
+    with pytest.raises(UnsupportedOperationError):
+        proposal.sample_tilted(bare, 0.0, 0.0, 1.0, rng)
+
+
 def test_rejection_trial_cap_surfaces_as_error(monkeypatch):
-    from rwpf.errors import NumericError
-    from rwpf.models import DriftModel
     # an absurdly loose envelope makes acceptance ~ e^{-30}: the capped
     # loop must error out instead of hanging
     sluggish = DriftModel(

@@ -184,24 +184,6 @@ def test_psi_config_validation():
     psi.PsiConfig(mode="mc", rqmc_kappa_cap=1000)  # cap unused in mc mode
 
 
-def test_diagnostics():
-    tanh = builtin("tanh")
-    cfg = psi.PsiConfig(mode="mc", inner_points=1)
-    rng = stream(12, 1)
-    ests = [psi.estimate(tanh, LazyBridge(0.0, 0.0, 1.0, 0.0), cfg, rng)
-            for _ in range(10_000)]
-    summary = psi.psi_diagnostics(ests)
-    assert summary.mean == math.exp(-0.5)
-    assert summary.variance == 0.0
-    assert summary.degenerate
-    assert summary.kappa_hist == {0: 10_000}
-
-    single = psi.psi_diagnostics(ests[:1])
-    assert single.degenerate and single.variance == 0.0 and single.se == 0.0
-    with pytest.raises(ValueError):
-        psi.psi_diagnostics([])
-
-
 def test_nan_from_model_is_numeric_failure():
     from rwpf.errors import NumericError
     from rwpf.models import DriftModel
@@ -221,12 +203,6 @@ def test_nan_from_model_is_numeric_failure():
 def test_mode_dispatch_guards():
     sine = builtin("sine")
     rng = stream(13, 1)
-    with pytest.raises(ValueError):
-        psi.estimate_mc(sine, LazyBridge(0, 0, 1, 0),
-                        psi.PsiConfig(mode="rqmc-times"), rng)
-    with pytest.raises(ValueError):
-        psi.estimate_rqmc(sine, LazyBridge(0, 0, 1, 0),
-                          psi.PsiConfig(mode="mc"), rng)
     with pytest.raises(ValueError):
         psi.estimate_with_kappa(sine, LazyBridge(0, 0, 1, 0),
                                 psi.PsiConfig(mode="mc"), rng, -1)

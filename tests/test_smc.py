@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rwpf import oracles, psi, smc
+from rwpf import bench, oracles, psi, smc
+from rwpf.config import BenchConfig
 from rwpf.errors import DegeneracyError, NumericError
-from rwpf.models import builtin
+from rwpf.models import DriftModel, builtin
 from rwpf.rngs import stream
 
 
@@ -246,3 +247,34 @@ def test_posterior_tracking_against_grid_filter():
     rmse = np.sqrt((errs**2).mean(axis=0))
     bound = 5 * np.sqrt(grid.posterior_vars) / math.sqrt(n)
     assert np.all(rmse <= bound)
+
+
+def test_observation_times_rule():
+    for ok in ([1.0, 2.0, 3.0], [0.5], []):
+        smc.check_observation_times(ok)
+    for bad in ([1.0, 1.0], [0.0, 1.0], [2.0, 1.0], [-1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            smc.check_observation_times(bad)
+
+
+def test_unvalidated_custom_model_rejected_on_entry(monkeypatch):
+    # sine drift with U understated: phi reaches 0.625
+    understated = DriftModel(
+        name="understated-u",
+        alpha=np.sin, alpha_prime=np.cos,
+        big_a=lambda u: 1.0 - np.cos(u),
+        phi_bounds=(-0.5, 0.5),
+        phi_scalar=lambda u: (math.sin(u) ** 2 + math.cos(u)) / 2.0,
+    )
+    calls = []
+    monkeypatch.setattr(smc.proposal, "propose", lambda *a: calls.append(a))
+    monkeypatch.setattr(bench.psi, "estimate_with_kappa", lambda *a: calls.append(a))
+    cfg = smc.FilterConfig(n_particles=4, x0=0.0, noise_sd=1.0,
+                           psi=psi.PsiConfig(), master_seed=3)
+    with pytest.raises(ValueError, match="escapes"):
+        smc.run_filter(understated, [(1.0, 0.0)], cfg)
+    bcfg = BenchConfig(x_a=0.0, x_b=0.0, a=0.0, b=1.0, inner_points_grid=(1,),
+                       replications=2, modes=("mc",))
+    with pytest.raises(ValueError, match="escapes"):
+        bench.run_bench(understated, bcfg, 3)
+    assert calls == []

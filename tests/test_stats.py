@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from rwpf.stats import invnorm, norm_logpdf, norm_pdf
+from rwpf.stats import invnorm, norm_logpdf
 
 
 def test_invnorm_matches_scipy_ndtri():
@@ -43,5 +43,3 @@ def test_norm_logpdf_matches_scipy():
     for x, mean, var in [(0, 0, 1), (1.7, -0.3, 0.25), (-4, 2, 9.0)]:
         assert norm_logpdf(x, mean, var) == pytest.approx(
             norm.logpdf(x, loc=mean, scale=math.sqrt(var)), rel=1e-12)
-        assert norm_pdf(x, mean, var) == pytest.approx(
-            norm.pdf(x, loc=mean, scale=math.sqrt(var)), rel=1e-12)
