@@ -8,7 +8,9 @@ realizes one consistent path.
 
 Gaussian draws go through the inverse normal CDF and consume exactly one
 uniform each, which is what lets low-discrepancy coordinates stand in
-for the uniforms in the point-set-driven estimator mode.
+for the uniforms in the point-set-driven estimator mode. That mode runs
+an array form of the same recursion in ``psi``; ``value_at_with_uniform``
+with ``snapshot``/``restore`` is its scalar reference.
 """
 
 import math
@@ -58,10 +60,6 @@ class LazyBridge:
         mean = w_s + frac * (w_u - w_s)
         var = (t - s) * (u - t) / (u - s)
         return i, mean, math.sqrt(var)
-
-    def contains(self, t: float) -> bool:
-        i = bisect_left(self._times, t)
-        return i < len(self._times) and self._times[i] == t
 
     def value_at(self, t: float, rng) -> float:
         """Value of the path at t, sampling (one uniform) if t is fresh."""

@@ -8,7 +8,9 @@ from (config, seed). --threads is accepted for interface compatibility
 and may only affect speed, never results (the current implementation is
 sequential).
 
-Exit codes: 0 success, 2 config error, 3 numeric or degeneracy error.
+Exit codes: 0 success, 2 config error (including a point-set dimension
+above the supported one, which the kappa cap controls), 3 numeric or
+degeneracy error.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from . import bench, lowdisc, oracles, psi, smc
 from .config import ConfigError, RunConfig, load_config
-from .errors import NumericError, RwpfError
+from .errors import NumericError, RwpfError, UnsupportedDimensionError
 from .rngs import NS_ORACLE, stream
 from .simulate import Dataset, simulate
 
@@ -293,7 +295,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedDimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

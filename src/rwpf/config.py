@@ -187,12 +187,16 @@ def _bench_config(raw: dict) -> BenchConfig | None:
         raise ConfigError("bench: expected an object")
     sub = dict(sub)
     grid = _take(sub, "inner_points_grid", list, required=True)
-    if not grid or any(not isinstance(m, int) or m < 1 for m in grid):
+    if not grid or any(not isinstance(m, int) or isinstance(m, bool) or m < 1
+                       for m in grid):
         raise ConfigError("bench.inner_points_grid: expected positive integers")
     modes = [_canon_mode(m) for m in
              _take(sub, "modes", list, default=["mc", "rqmc-times-values"])]
     if any(m not in psi.MODES for m in modes):
         raise ConfigError(f"bench.modes: entries must be among {psi.MODES}")
+    if len(set(modes)) != len(modes):
+        raise ConfigError(f"bench.modes: duplicate entries in {modes} "
+                          "(\"rqmc\" is rqmc-times-values)")
     cfg = BenchConfig(
         x_a=_take(sub, "x_a", float, required=True),
         x_b=_take(sub, "x_b", float, required=True),

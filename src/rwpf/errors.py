@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericError (and
-subclasses) -> 3. Everything else is a plain bug and escapes as usual.
+The CLI maps these onto exit codes: ConfigError and
+UnsupportedDimensionError (a point-set dimension the config asks for
+through its kappa cap) -> 2, NumericError (and subclasses) -> 3.
+Everything else is a plain bug and escapes as usual.
 """
 
 

@@ -11,7 +11,9 @@ preserving the digital-net structure.
 
 Points are held both as floats and as 53-bit integers; all randomization
 happens on the integer form, so regenerating with the same
-(dimension, count, scheme, seed) is bit-identical.
+(dimension, count, scheme, seed) is bit-identical. The base set is
+deterministic in (dimension, count), so it is built once per pair and
+shared, with read-only arrays.
 """
 
 from dataclasses import dataclass
@@ -103,12 +105,15 @@ def _to_floats(ipoints: np.ndarray) -> np.ndarray:
     return ipoints.astype(np.float64) / _SCALE
 
 
+@lru_cache(maxsize=256)
 def generate_base(dimension: int, count: int) -> PointSet:
     """First ``count`` points of the base-2 digital sequence, unrandomized.
 
     Point i is the XOR of the direction integers selected by the binary
     digits of i (natural order, so the ordering convention pinned by the
-    tests is x_0=0, x_1=0.5, x_2=0.25, ... in one dimension).
+    tests is x_0=0, x_1=0.5, x_2=0.25, ... in one dimension). Memoized:
+    every call with the same (dimension, count) returns one shared point
+    set whose arrays are read-only.
     """
     if not 1 <= dimension <= MAX_DIMENSION:
         raise UnsupportedDimensionError(
@@ -123,7 +128,10 @@ def generate_base(dimension: int, count: int) -> PointSet:
     for b in range(max(int(count - 1).bit_length(), 1)):
         hit = (idx >> np.uint64(b)) & np.uint64(1) == 1
         ipoints[hit] ^= v[:, b]
-    return PointSet(dimension, count, _to_floats(ipoints), SCHEME_NONE, None, ipoints)
+    points = _to_floats(ipoints)
+    ipoints.flags.writeable = False
+    points.flags.writeable = False
+    return PointSet(dimension, count, points, SCHEME_NONE, None, ipoints)
 
 
 def apply_digital_shift(base: PointSet, shifts: np.ndarray) -> PointSet:
@@ -168,11 +176,10 @@ def randomize(base: PointSet, scheme: str, seed: int) -> PointSet:
     if scheme == SCHEME_DIGITAL_SHIFT:
         shifts = rng.integers(0, 2**N_BITS, size=base.dimension, dtype=np.uint64)
         ps = apply_digital_shift(base, shifts)
-    else:
-        ipoints = _owen_scramble(base.ipoints, rng)
-        ps = PointSet(base.dimension, base.count, _to_floats(ipoints),
-                      SCHEME_OWEN, None, ipoints)
-    return PointSet(ps.dimension, ps.count, ps.points, scheme, int(seed), ps.ipoints)
+        return PointSet(ps.dimension, ps.count, ps.points, scheme, int(seed), ps.ipoints)
+    ipoints = _owen_scramble(base.ipoints, rng)
+    return PointSet(base.dimension, base.count, _to_floats(ipoints), SCHEME_OWEN,
+                    int(seed), ipoints)
 
 
 def projection_quality(ps: PointSet, grid: int = 16) -> ProjectionReport:

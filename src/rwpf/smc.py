@@ -20,7 +20,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import proposal, psi
-from .bridge import LazyBridge
 from .errors import DegeneracyError, NumericError
 from .models import DriftModel, validate_model
 from .rngs import NS_FILTER, particle_streams
@@ -166,23 +165,20 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
 
     n = cloud.n
     positions = cloud.positions
-    new_pos = np.empty(n)
-    incr = np.empty(n)
-    kappas = np.empty(n)
-    for i in range(n):
-        rng = cloud.rng_streams[i]
-        out = proposal.propose(model, float(positions[i]), a, b, rng, proposal_mode)
-        est = psi.estimate(model, LazyBridge(a, float(positions[i]), b, out.x_b),
-                           psi_cfg, rng)
-        if est.value < 0:
-            raise NumericError(
-                f"negative psi estimate {est.value} for model {model.name!r}; "
-                "declared phi bounds are violated"
-            )
-        log_psi = math.log(est.value) if est.value > 0 else -math.inf
-        incr[i] = out.log_weight_factor + log_psi + norm_logpdf(y, out.x_b, var_obs)
-        new_pos[i] = out.x_b
-        kappas[i] = est.kappa
+    streams = cloud.rng_streams
+    outs = [proposal.propose(model, float(positions[i]), a, b, streams[i], proposal_mode)
+            for i in range(n)]
+    new_pos = np.array([out.x_b for out in outs])
+    ests = psi.estimate_cloud(model, a, b, positions, new_pos, psi_cfg, streams)
+    values = np.array([est.value for est in ests])
+    if np.any(values < 0):
+        raise NumericError(
+            f"negative psi estimate {values[values < 0][0]} for model "
+            f"{model.name!r}; declared phi bounds are violated"
+        )
+    log_psi = np.array([math.log(v) if v > 0 else -math.inf for v in values])
+    incr = (np.array([out.log_weight_factor for out in outs]) + log_psi
+            + norm_logpdf(y, new_pos, var_obs))
 
     old_norm = cloud.log_weights - logsumexp(cloud.log_weights)
     with np.errstate(invalid="ignore"):
@@ -207,7 +203,7 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
 
     report = FilterStepReport(
         time=b, ess=ess_val, log_likelihood_increment=loglik_inc,
-        resampled=resampled, mean_kappa=float(kappas.mean()),
+        resampled=resampled, mean_kappa=float(np.mean([est.kappa for est in ests])),
         posterior_mean=post_mean, posterior_var=post_var,
     )
     return new_cloud, report

@@ -68,6 +68,7 @@ def invnorm(u):
 
 
 def norm_logpdf(x, mean, var):
-    """Log density of Normal(mean, var) at x (scalar)."""
+    """Log density of Normal(mean, var) at x; x or mean may be an array,
+    var is a scalar."""
     d = x - mean
     return -0.5 * (_LOG_2PI + math.log(var) + d * d / var)

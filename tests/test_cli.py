@@ -272,3 +272,19 @@ def test_oracle_unknown_kind(tmp_path):
                         extra={"oracle": {"kind": "tarot"}})
     r = _run("oracle", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert r.returncode == 2
+
+
+def test_unsupported_dimension_exits_2(tmp_path):
+    # a 40-unit gap draws kappa near 45; with the default kappa cap 64,
+    # rqmc-times-values asks for a point set of dimension 2 * kappa > 64
+    cfg = _write_config(tmp_path / "cfg.json", model={"name": "sine"},
+                        observation_times=[40.0], particles=16,
+                        psi={"mode": "rqmc-times-values", "inner_points": 4})
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", str(cfg), "--out", str(out)).returncode == 0
+    r = _run("filter", "--config", str(cfg), "--data", str(out / "dataset.json"),
+             "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error: ")
+    assert "lower rqmc_kappa_cap" in r.stderr
+    assert "Traceback" not in r.stderr

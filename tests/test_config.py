@@ -18,6 +18,10 @@ def _base_config(**overrides):
     return raw
 
 
+_BENCH = {"x_a": 0.0, "x_b": 1.0, "a": 0.0, "b": 1.0,
+          "inner_points_grid": [4], "replications": 10}
+
+
 def test_parse_minimal_and_defaults():
     cfg = parse_config(_base_config())
     assert cfg.model_name == "sine"
@@ -72,6 +76,7 @@ def test_rqmc_mode_alias_selects_default_layout():
     (dict(unknown_top_level=1), "unknown"),
     (dict(observation_times={"count": True, "spacing": True}), "observation_times"),
     (dict(observation_times={"count": 2, "spacing": True}), "observation_times"),
+    (dict(bench={**_BENCH, "inner_points_grid": [True]}), "bench.inner_points_grid"),
 ])
 def test_parse_field_errors(mutation, fragment):
     raw = _base_config()
@@ -82,6 +87,16 @@ def test_parse_field_errors(mutation, fragment):
             raw[key] = value
     with pytest.raises(ConfigError, match=fragment.split(".")[0]):
         parse_config(raw)
+
+
+def test_bench_modes_must_be_distinct():
+    # "rqmc" names rqmc-times-values, so listing both runs one mode twice
+    with pytest.raises(ConfigError, match="bench.modes: duplicate"):
+        parse_config(_base_config(bench={**_BENCH, "modes": ["mc", "rqmc", "rqmc-times-values"]}))
+    with pytest.raises(ConfigError, match="bench.modes: duplicate"):
+        parse_config(_base_config(bench={**_BENCH, "modes": ["mc", "mc"]}))
+    cfg = parse_config(_base_config(bench={**_BENCH, "modes": ["mc", "rqmc"]}))
+    assert cfg.bench.modes == ("mc", "rqmc-times-values")
 
 
 def test_tilted_requires_normalizer_capability():

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -78,6 +79,28 @@ def test_randomize_deterministic(scheme):
     c = lowdisc.randomize(base, scheme, 100)
     assert not np.array_equal(a.ipoints, c.ipoints)
     assert a.randomization == scheme and a.seed == 99
+
+
+@pytest.mark.parametrize("scheme,digest", [
+    ("digital-shift", "955e28aa694e82209e0b1185abbc770dc248b5b5e7f493394eb8617900b82b87"),
+    ("owen-scramble", "9ae1ff6b9b068882ffdeb3133169039c0cd2bfae206b96bb574c44be6f171d13"),
+])
+def test_memoized_base_is_read_only_and_randomizes_unchanged(scheme, digest):
+    base = lowdisc.generate_base(5, 32)
+    assert lowdisc.generate_base(5, 32) is base
+    for arr in (base.points, base.ipoints):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+    assert np.all(base.points[0] == 0.0)
+    # digest of the randomized integer and float points, pinned before the
+    # base set was memoized
+    ps = lowdisc.randomize(base, scheme, 11)
+    assert ps.points.flags.writeable and ps.ipoints.flags.writeable
+    assert hashlib.sha256(ps.ipoints.tobytes() + ps.points.tobytes()).hexdigest() == digest
+    fresh = lowdisc.randomize(lowdisc.generate_base.__wrapped__(5, 32), scheme, 11)
+    assert np.array_equal(fresh.ipoints, ps.ipoints)
+    assert np.array_equal(fresh.points, ps.points)
 
 
 def test_randomize_rejects_randomized_input_and_bad_scheme():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from rwpf import lowdisc, psi
-from rwpf.bridge import LazyBridge
-from rwpf.errors import UnsupportedDimensionError
+from rwpf.bridge import _TINY, LazyBridge
+from rwpf.errors import ContractViolationError, NumericError, UnsupportedDimensionError
 from rwpf.models import builtin
-from rwpf.rngs import stream
+from rwpf.rngs import fresh_seed, stream
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -206,3 +206,160 @@ def test_mode_dispatch_guards():
     with pytest.raises(ValueError):
         psi.estimate_with_kappa(sine, LazyBridge(0, 0, 1, 0),
                                 psi.PsiConfig(mode="mc"), rng, -1)
+
+
+def _reference_times_values(model, bridge, cfg, rng, kappa):
+    """rqmc-times-values on the LazyBridge: sorted (time, value) pairs,
+    value_at_with_uniform, the one-ulp nudge of a time already in the
+    skeleton, and a rollback after every point. Returns
+    (value, n_time_collisions, n_bridge_queries)."""
+    lo, hi = model.phi_bounds
+    a, b = bridge.a, bridge.b
+    span = b - a
+    base = lowdisc.generate_base(2 * kappa, cfg.inner_points)
+    points = lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
+    snap = bridge.snapshot()
+    before = bridge.total_inserted
+    acc, collisions = 0.0, 0
+    for row in points:
+        prod = 1.0
+        for u_time, u_val in sorted(zip(row[:kappa].tolist(), row[kappa:].tolist())):
+            t = a + span * u_time
+            while t in {s for s, _ in bridge.skeleton()}:
+                u_time = np.nextafter(u_time, 2.0)
+                t = a + span * u_time
+                collisions += 1
+            if t > b:
+                raise NumericError("time collision walked past the interval end")
+            w = bridge.value_at_with_uniform(t, max(u_val, _TINY))
+            prod *= (hi - model.phi_scalar(w)) / (hi - lo)
+        acc += prod
+        bridge.restore(snap)
+    value = math.exp(-lo * span) * (acc / cfg.inner_points)
+    return value, collisions, bridge.total_inserted - before
+
+
+def _close(model, value, ref_value, span):
+    # cancellation in U - phi(w) costs relative precision on near-zero
+    # products, so the absolute scale is the estimate's upper bound e^{-L(b-a)}
+    scale = math.exp(-model.phi_bounds[0] * span)
+    return math.isclose(value, ref_value, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+def _assert_matches_reference(model, est, ref, kappa, span):
+    value, collisions, queries = ref
+    assert est.kappa == kappa and est.mode == "rqmc-times-values"
+    assert est.n_bridge_queries == queries
+    assert est.n_time_collisions == collisions
+    assert _close(model, est.value, value, span)
+
+
+@pytest.mark.parametrize("scheme", ["digital-shift", "owen-scramble"])
+@pytest.mark.parametrize("model", [builtin("sine"), builtin("scaled-sine", theta=1.7)],
+                         ids=["sine", "scaled-sine-1.7"])
+def test_times_values_kernel_matches_bridge_reference(model, scheme):
+    for kappa in range(1, 9):
+        for m in (1, 16, 64):
+            cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=m,
+                                randomization=scheme)
+            for rep in range(3):
+                x_a, x_b = 0.4 * rep - 0.3, 1.1 - 0.7 * rep
+                r1, r2 = stream(15, kappa, m, rep), stream(15, kappa, m, rep)
+                est = psi.estimate_with_kappa(model, LazyBridge(0.5, x_a, 2.0, x_b),
+                                              cfg, r1, kappa)
+                ref = _reference_times_values(model, LazyBridge(0.5, x_a, 2.0, x_b),
+                                              cfg, r2, kappa)
+                _assert_matches_reference(model, est, ref, kappa, 1.5)
+                assert r1.random() == r2.random()  # same draws from the stream
+
+
+def _fixed_points(monkeypatch, rows):
+    """Make every randomized point set of the rows' shape (M, 2 * kappa)
+    those rows."""
+    pts = np.array(rows, dtype=np.float64)
+    randomize = lowdisc.randomize
+
+    def fake_randomize(base, scheme, seed):
+        if pts.shape != (base.count, base.dimension):
+            return randomize(base, scheme, seed)
+        return lowdisc.PointSet(base.dimension, base.count, pts, scheme, seed,
+                                lowdisc.shift_from_floats(pts))
+
+    monkeypatch.setattr(psi.lowdisc, "randomize", fake_randomize)
+
+
+@pytest.mark.parametrize("a,b,rows", [
+    # a triple duplicate: the third time first lands on the first, then on
+    # the second, before it is fresh
+    (0.0, 1.0, [[0.4375, 0.4375, 0.4375, 0.1, 0.9, 0.5],
+                [0.25, 0.75, 0.25, 0.0, 0.3, 0.6]]),
+    # a zero time coordinate collides with a; a zero value uniform
+    (0.0, 1.0, [[0.0, 0.5, 0.0, 0.0, 0.2, 0.8],
+                [0.0, 0.0, 0.9, 0.4, 0.5, 0.6]]),
+    # far from 0 one ulp of the uniform rarely moves t: many nudges each
+    (40.0, 41.0, [[0.25, 0.25, 0.25, 0.7, 0.2, 0.4],
+                  [0.5, 0.125, 0.5, 0.3, 0.3, 0.3]]),
+])
+def test_times_values_forced_collisions_match_reference(monkeypatch, a, b, rows):
+    _fixed_points(monkeypatch, rows)
+    for model in (builtin("sine"), builtin("scaled-sine", theta=1.7)):
+        cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=2)
+        est = psi.estimate_with_kappa(model, LazyBridge(a, 0.2, b, -0.4), cfg,
+                                      stream(16, 1), 3)
+        ref = _reference_times_values(model, LazyBridge(a, 0.2, b, -0.4), cfg,
+                                      stream(16, 1), 3)
+        assert ref[1] >= 2
+        _assert_matches_reference(model, est, ref, 3, b - a)
+        # the same points for a cloud of bridges through estimate_cloud
+        n = 64
+        x_a, x_b = np.linspace(-2.0, 2.0, n), np.cos(np.arange(n))
+        cloud = psi.estimate_cloud(model, a, b, x_a, x_b, cfg,
+                                   [stream(17, 1, i) for i in range(n)])
+        hit = [i for i, e in enumerate(cloud) if e.kappa == 3]  # the rows' kappa
+        assert len(hit) >= 2
+        for i in hit:
+            ref = _reference_times_values(model, LazyBridge(a, x_a[i], b, x_b[i]),
+                                          cfg, stream(17, 1, i), 3)
+            assert cloud[i].n_time_collisions == ref[1] >= 2
+            assert _close(model, cloud[i].value, ref[0], b - a)
+
+
+def test_times_values_collision_past_the_end_is_numeric_failure(monkeypatch):
+    top = np.nextafter(1.0, 0.0)  # largest uniform below 1: t lands just below b
+    _fixed_points(monkeypatch, [[top, top, 0.5, 0.5]])
+    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=1)
+    for estimate in (psi.estimate_with_kappa, _reference_times_values):
+        with pytest.raises(NumericError, match="walked past"):
+            estimate(builtin("sine"), LazyBridge(0.0, 0.0, 1.0, 0.0), cfg,
+                     stream(18, 1), 2)
+
+
+def test_times_values_needs_a_two_point_skeleton():
+    sine = builtin("sine")
+    br = LazyBridge(0.0, 0.0, 1.0, 0.0)
+    br.value_at(0.5, stream(19, 0))
+    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=4)
+    with pytest.raises(ContractViolationError, match="two-point"):
+        psi.estimate_with_kappa(sine, br, cfg, stream(19, 1), 2)
+
+
+@pytest.mark.parametrize("mode", psi.MODES)
+@pytest.mark.parametrize("scheme", ["digital-shift", "owen-scramble"])
+def test_estimate_cloud_matches_per_particle_estimates(mode, scheme):
+    # kappa cap 2 on a 2-unit gap: many particles fall back to mc
+    sine = builtin("sine")
+    cfg = psi.PsiConfig(mode=mode, inner_points=16, rqmc_kappa_cap=2,
+                        randomization=scheme)
+    n = 64
+    x_a = np.linspace(-2.0, 2.0, n)
+    x_b = np.cos(np.arange(n))
+    cloud_rngs = [stream(20, i) for i in range(n)]
+    loop_rngs = [stream(20, i) for i in range(n)]
+    cloud = psi.estimate_cloud(sine, 1.0, 3.0, x_a, x_b, cfg, cloud_rngs)
+    ests = [psi.estimate(sine, LazyBridge(1.0, x_a[i], 3.0, x_b[i]), cfg, loop_rngs[i])
+            for i in range(n)]
+    # batches of one and of many run the same kernel: equal values too
+    assert cloud == ests
+    assert [r.random() for r in cloud_rngs] == [r.random() for r in loop_rngs]
+    if mode != "mc":
+        assert 0 < sum(e.mode == "mc-fallback" for e in cloud) < n

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rwpf import bench, oracles, psi, smc
+from rwpf.bridge import LazyBridge
 from rwpf.config import BenchConfig
 from rwpf.errors import DegeneracyError, NumericError
 from rwpf.models import DriftModel, builtin
@@ -278,3 +279,43 @@ def test_unvalidated_custom_model_rejected_on_entry(monkeypatch):
     with pytest.raises(ValueError, match="escapes"):
         bench.run_bench(understated, bcfg, 3)
     assert calls == []
+
+
+def _per_particle_cloud(model, a, b, x_a, x_b, cfg, rngs):
+    """estimate_cloud as a loop of psi.estimate, one particle at a time."""
+    return [psi.estimate(model, LazyBridge(a, float(xa), b, float(xb)), cfg, rng)
+            for xa, xb, rng in zip(x_a, x_b, rngs)]
+
+
+@pytest.mark.parametrize("scheme", ["digital-shift", "owen-scramble"])
+def test_cloud_weights_match_per_particle_loop(monkeypatch, scheme):
+    # kappa cap 2 on unit gaps, so some particles fall back to mc
+    sine = builtin("sine")
+    obs = [(1.0, 0.4), (2.0, 1.3), (3.0, -0.2), (4.0, 2.5), (5.0, 0.9), (6.0, 3.4)]
+    cfg = smc.FilterConfig(
+        n_particles=64, x0=0.0, noise_sd=0.3, master_seed=31,
+        psi=psi.PsiConfig(mode="rqmc-times-values", inner_points=8,
+                          rqmc_kappa_cap=2, randomization=scheme))
+    runs = []
+    for cloud_fn in (psi.estimate_cloud, _per_particle_cloud):
+        seen = []
+
+        def recording(*args, cloud_fn=cloud_fn, seen=seen):
+            seen.append(cloud_fn(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(psi, "estimate_cloud", recording)
+        runs.append((smc.run_filter(sine, obs, cfg), seen))
+    ((reports, ll), clouds), ((ref_reports, ref_ll), ref_clouds) = runs
+    assert any(r.resampled for r in reports)
+    assert any(e.mode == psi.MODE_MC_FALLBACK for c in clouds for e in c)
+    assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-9)
+    for c, rc in zip(clouds, ref_clouds, strict=True):
+        for e, re in zip(c, rc, strict=True):
+            assert (e.kappa, e.mode, e.n_bridge_queries, e.n_time_collisions) == (
+                re.kappa, re.mode, re.n_bridge_queries, re.n_time_collisions)
+            assert e.value == pytest.approx(re.value, rel=1e-12, abs=1e-15)
+    for r, rr in zip(reports, ref_reports, strict=True):
+        assert (r.time, r.resampled, r.mean_kappa) == (rr.time, rr.resampled, rr.mean_kappa)
+        for field in ("ess", "log_likelihood_increment", "posterior_mean", "posterior_var"):
+            assert getattr(r, field) == pytest.approx(getattr(rr, field), rel=1e-9)
