@@ -8,9 +8,11 @@ realizes one consistent path.
 
 Gaussian draws go through the inverse normal CDF and consume exactly one
 uniform each, which is what lets low-discrepancy coordinates stand in
-for the uniforms in the point-set-driven estimator mode. That mode runs
-an array form of the same recursion in ``psi``; ``value_at_with_uniform``
-with ``snapshot``/``restore`` is its scalar reference.
+for pseudo-random uniforms. The estimators in ``psi`` sample their paths
+with an array form of the same recursion and hand the fresh points of a
+shared path back through ``insert_path``; ``value_at``,
+``value_at_with_uniform`` and ``snapshot``/``restore`` are the scalar
+reference the tests hold that kernel to.
 """
 
 import math
@@ -66,14 +68,7 @@ class LazyBridge:
         i, mean, sd = self._conditional(t)
         if mean is None:
             return self._values[i]
-        u = rng.random()
-        if u <= 0.0:
-            u = _TINY
-        value = mean + sd * invnorm(u)
-        self._times.insert(i, t)
-        self._values.insert(i, value)
-        self.total_inserted += 1
-        return value
+        return self._insert(i, t, mean + sd * invnorm(max(rng.random(), _TINY)))
 
     def value_at_with_uniform(self, t: float, u01: float) -> float:
         """Deterministic-uniform variant for point-set-driven sampling.
@@ -86,11 +81,21 @@ class LazyBridge:
             raise ContractViolationError(
                 f"time {t} already in skeleton; uniform-driven queries need fresh times"
             )
-        value = mean + sd * invnorm(u01)
+        return self._insert(i, t, mean + sd * invnorm(u01))
+
+    def _insert(self, i: int, t: float, value: float) -> float:
         self._times.insert(i, t)
         self._values.insert(i, value)
         self.total_inserted += 1
         return value
+
+    def insert_path(self, times, values) -> None:
+        """Merge (time, value) pairs sampled elsewhere, at times not yet in
+        the skeleton; each counts as one insertion."""
+        pairs = sorted(zip(self._times + list(times), self._values + list(values)))
+        self._times = [t for t, _ in pairs]
+        self._values = [v for _, v in pairs]
+        self.total_inserted += len(times)
 
     def snapshot(self):
         """Opaque state token for restore(); endpoints are always retained."""

@@ -21,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import bench, lowdisc, oracles, psi, smc
+from . import bench, lowdisc, oracles, smc
 from .config import ConfigError, RunConfig, load_config
 from .errors import NumericError, RwpfError, UnsupportedDimensionError
 from .rngs import NS_ORACLE, stream
@@ -130,10 +130,6 @@ def _cmd_psi_bench(args) -> None:
     if cfg.bench is None:
         raise ConfigError("bench: config section required for psi-bench")
     model = cfg.build_model()
-    for mode in cfg.bench.modes:
-        psi.PsiConfig(mode=mode, inner_points=cfg.bench.inner_points_grid[0],
-                      rqmc_kappa_cap=cfg.bench.kappa_cap,
-                      randomization=cfg.bench.randomization)  # early validation
     started = time.perf_counter()
     result = bench.run_bench(model, cfg.bench, cfg.seed)
     elapsed = time.perf_counter() - started

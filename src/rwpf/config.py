@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import models, psi
 from .errors import ConfigError
 from .proposal import MODE_TILTED, PROPOSALS
-from .smc import RESAMPLING_SCHEMES, check_observation_times
+from .smc import RESAMPLING_SCHEMES, FilterConfig, check_observation_times
 
 
 def canonical_json(obj) -> str:
@@ -47,9 +47,9 @@ class RunConfig:
     seed: int
     n_particles: int = 256
     psi_cfg: psi.PsiConfig = field(default_factory=psi.PsiConfig)
-    proposal: str = "gaussian"
-    resampling: str = "systematic"
-    ess_threshold: float = 0.5
+    proposal: str = FilterConfig.proposal
+    resampling: str = FilterConfig.resampling
+    ess_threshold: float = FilterConfig.ess_threshold
     euler_steps_per_unit: int = 2000
     store_fine_path: bool = False
     bench: BenchConfig | None = None
@@ -192,8 +192,6 @@ def _bench_config(raw: dict) -> BenchConfig | None:
         raise ConfigError("bench.inner_points_grid: expected positive integers")
     modes = [_canon_mode(m) for m in
              _take(sub, "modes", list, default=["mc", "rqmc-times-values"])]
-    if any(m not in psi.MODES for m in modes):
-        raise ConfigError(f"bench.modes: entries must be among {psi.MODES}")
     if len(set(modes)) != len(modes):
         raise ConfigError(f"bench.modes: duplicate entries in {modes} "
                           "(\"rqmc\" is rqmc-times-values)")
@@ -214,6 +212,12 @@ def _bench_config(raw: dict) -> BenchConfig | None:
         raise ConfigError("bench: need b > a")
     if cfg.replications < 2:
         raise ConfigError("bench.replications: need at least 2")
+    for mode in cfg.modes:  # the rule every run_bench estimate is held to
+        try:
+            psi.PsiConfig(mode=mode, rqmc_kappa_cap=cfg.kappa_cap,
+                          randomization=cfg.randomization)
+        except ValueError as exc:
+            raise ConfigError(f"bench: {exc}") from None
     return cfg
 
 
@@ -222,6 +226,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     raw = dict(raw)
+    d = RunConfig  # its field defaults are the config defaults
 
     model_spec = _take(raw, "model", dict, required=True)
     model_spec = dict(model_spec)
@@ -235,8 +240,8 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(resampling, dict):
         raise ConfigError("resampling: expected an object")
     resampling = dict(resampling)
-    scheme = _take(resampling, "scheme", str, default="systematic")
-    ess_threshold = _take(resampling, "ess_threshold", float, default=0.5)
+    scheme = _take(resampling, "scheme", str, default=d.resampling)
+    ess_threshold = _take(resampling, "ess_threshold", float, default=d.ess_threshold)
     if resampling:
         raise ConfigError(f"resampling: unknown fields {sorted(resampling)}")
     if scheme not in RESAMPLING_SCHEMES:
@@ -244,11 +249,11 @@ def parse_config(raw: dict) -> RunConfig:
     if not 0.0 <= ess_threshold <= 1.0:
         raise ConfigError("resampling.ess_threshold: must be in [0, 1]")
 
-    proposal = _take(raw, "proposal", str, default="gaussian")
+    proposal = _take(raw, "proposal", str, default=d.proposal)
     if proposal not in PROPOSALS:
         raise ConfigError(f"proposal: must be one of {PROPOSALS}")
 
-    n_particles = _take(raw, "particles", int, default=256)
+    n_particles = _take(raw, "particles", int, default=d.n_particles)
     if n_particles < 1:
         raise ConfigError("particles: must be >= 1")
 
@@ -256,7 +261,7 @@ def parse_config(raw: dict) -> RunConfig:
     if noise_sd < 0:
         raise ConfigError("noise_sd: must be >= 0")
 
-    euler = _take(raw, "euler_steps_per_unit", int, default=2000)
+    euler = _take(raw, "euler_steps_per_unit", int, default=d.euler_steps_per_unit)
     if euler < 100:
         raise ConfigError("euler_steps_per_unit: must be >= 100")
 

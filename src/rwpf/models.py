@@ -29,8 +29,9 @@ class DriftModel:
     """A drift specification plus whatever closed forms it admits.
 
     ``alpha``, ``alpha_prime`` and ``big_a`` accept scalars or arrays;
-    ``phi_scalar`` is a pure-scalar fast path for the samplers' inner
-    loops and must agree with (alpha^2 + alpha')/2 pointwise.
+    the estimators evaluate phi through them on arrays (``phi``).
+    ``phi_scalar`` is phi for one float, for scalar checks against the
+    array form, and must agree with (alpha^2 + alpha')/2 pointwise.
     """
 
     name: str
@@ -69,6 +70,8 @@ def exact_transition_density(model: DriftModel, x_a, x_b, t):
     return np.exp(model.exact_log_density(x_a, x_b, t))
 
 
+PHI_TOL = 1e-9  # how far phi may stray past its declared bounds
+
 _VALIDATED = weakref.WeakSet()  # models that have passed validate_model
 
 
@@ -93,7 +96,7 @@ def validate_model(model: DriftModel) -> DriftModel:
     l_bound, u_bound = model.phi_bounds
     if l_bound > u_bound:
         raise ValueError(f"model {model.name!r}: phi_bounds out of order")
-    if vals.min() < l_bound - 1e-9 or vals.max() > u_bound + 1e-9:
+    if vals.min() < l_bound - PHI_TOL or vals.max() > u_bound + PHI_TOL:
         raise ValueError(
             f"model {model.name!r}: phi escapes [{l_bound}, {u_bound}] "
             f"on [{lo}, {hi}] (observed range [{vals.min()}, {vals.max()}])"

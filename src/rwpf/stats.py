@@ -1,12 +1,12 @@
-"""Scalar probability helpers used in the samplers' hot paths.
+"""Scalar probability helpers.
 
 `invnorm` is Wichura's AS 241 / PPND16 rational approximation of the
 standard normal quantile function (absolute error below 1e-15 over the
 open unit interval, far inside the 1e-9 budget the bridge sampler needs).
-It is implemented here rather than calling into a ufunc because the lazy
-bridge consumes one uniform per Gaussian in a tight scalar loop; the
-vectorised code paths use ``scipy.special.ndtri`` instead, and the test
-suite checks the two against each other.
+It serves ``LazyBridge``'s one-at-a-time queries, which take one uniform
+per Gaussian and are the scalar reference for the estimators; the
+estimators' array kernel uses ``scipy.special.ndtri`` instead, and the
+test suite checks the two against each other.
 """
 
 import math

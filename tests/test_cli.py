@@ -193,6 +193,37 @@ def test_psi_bench_skeleton_dump(tmp_path):
     assert times == sorted(times)
 
 
+def test_psi_bench_bad_bench_section_exits_2(tmp_path):
+    for field, value in [("randomization", "none"), ("kappa_cap", 0)]:
+        cfg = _write_config(tmp_path / "cfg.json", extra={
+            "model": {"name": "sine"},
+            "bench": {"x_a": 0.0, "x_b": 0.0, "a": 0.0, "b": 1.0,
+                      "inner_points_grid": [4], "replications": 20, field: value},
+        })
+        r = _run("psi-bench", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error: bench: ")
+        assert "Traceback" not in r.stderr
+
+
+def test_long_gap_overflow_exits_3(tmp_path):
+    # sine over a 1500-unit gap: e^{-L(b-a)} = e^{750} overflows
+    out = tmp_path / "out"
+    for mode in ("mc", "rqmc-times-values"):
+        cfg = _write_config(tmp_path / "cfg.json", model={"name": "sine"},
+                            observation_times=[1500.0], particles=16,
+                            euler_steps_per_unit=100,
+                            psi={"mode": mode, "inner_points": 4})
+        if mode == "mc":
+            assert _run("simulate", "--config", str(cfg), "--out", str(out)).returncode == 0
+        r = _run("filter", "--config", str(cfg), "--data", str(out / "dataset.json"),
+                 "--out", str(out))
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("numeric error: ")
+        assert "gap of b-a=1500" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_psi_bench_requires_section(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     r = _run("psi-bench", "--config", str(cfg), "--out", str(tmp_path / "o"))

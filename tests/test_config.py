@@ -77,6 +77,8 @@ def test_rqmc_mode_alias_selects_default_layout():
     (dict(observation_times={"count": True, "spacing": True}), "observation_times"),
     (dict(observation_times={"count": 2, "spacing": True}), "observation_times"),
     (dict(bench={**_BENCH, "inner_points_grid": [True]}), "bench.inner_points_grid"),
+    (dict(bench={**_BENCH, "randomization": "none"}), "bench.randomization"),
+    (dict(bench={**_BENCH, "kappa_cap": 0}), "bench.kappa_cap"),
 ])
 def test_parse_field_errors(mutation, fragment):
     raw = _base_config()

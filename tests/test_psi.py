@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -187,12 +188,13 @@ def test_psi_config_validation():
 def test_nan_from_model_is_numeric_failure():
     from rwpf.errors import NumericError
     from rwpf.models import DriftModel
+    # the estimators evaluate phi on arrays through alpha and alpha'
     broken = DriftModel(
         name="nan-model",
-        alpha=np.sin, alpha_prime=np.cos,
+        alpha=lambda u: np.sin(u) * math.nan, alpha_prime=np.cos,
         big_a=lambda u: 1.0 - np.cos(u),
         phi_bounds=(-0.5, 0.625),
-        phi_scalar=lambda u: math.nan,
+        phi_scalar=lambda u: 0.0,
     )
     cfg = psi.PsiConfig(mode="mc", inner_points=2)
     with pytest.raises(NumericError, match="not finite"):
@@ -338,9 +340,129 @@ def test_times_values_needs_a_two_point_skeleton():
     sine = builtin("sine")
     br = LazyBridge(0.0, 0.0, 1.0, 0.0)
     br.value_at(0.5, stream(19, 0))
-    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=4)
-    with pytest.raises(ContractViolationError, match="two-point"):
-        psi.estimate_with_kappa(sine, br, cfg, stream(19, 1), 2)
+    for mode in psi.MODES:
+        cfg = psi.PsiConfig(mode=mode, inner_points=4)
+        with pytest.raises(ContractViolationError, match="two-point"):
+            psi.estimate_with_kappa(sine, br, cfg, stream(19, 1), 2)
+        with pytest.raises(ContractViolationError, match="two-point"):
+            psi.estimate(sine, br, cfg, stream(19, 1))
+
+
+class _Draws:
+    """A stream stand-in that hands out fixed uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, n):
+        out, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        return np.array(out)
+
+    def integers(self, lo, hi):  # fresh_seed; the fixed point sets ignore it
+        return 0
+
+
+def _reference_shared(model, bridge, cfg, kappa, u_time, u_val):
+    """mc / rqmc-times on the LazyBridge: the (time, value uniform) pairs in
+    sorted order, value_at_with_uniform at a fresh time, the value already
+    on the path at a repeated time or at a or b. Point m's times are
+    u_time[m * kappa:(m + 1) * kappa]. The path stays in ``bridge``."""
+    lo, hi = model.phi_bounds
+    a, b = bridge.a, bridge.b
+    span = b - a
+    for ut, uv in sorted(zip(u_time, u_val)):
+        t = min(a + span * ut, b)
+        if t not in dict(bridge.skeleton()):
+            bridge.value_at_with_uniform(t, max(uv, _TINY))
+    path = dict(bridge.skeleton())
+    acc = 0.0
+    for m in range(cfg.inner_points):
+        prod = 1.0
+        for ut in u_time[m * kappa:(m + 1) * kappa]:
+            prod *= (hi - model.phi_scalar(path[min(a + span * ut, b)])) / (hi - lo)
+        acc += prod
+    return math.exp(-lo * span) * (acc / cfg.inner_points)
+
+
+def _shared_uniforms(cfg, kappa, rng):
+    """The uniforms mc and rqmc-times draw from ``rng`` for one estimate."""
+    n = cfg.inner_points * kappa
+    if cfg.mode == "mc":
+        draws = rng.random(2 * n).tolist()
+        return draws[:n], draws[n:]
+    base = lowdisc.generate_base(kappa, cfg.inner_points)
+    times = lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
+    return times.reshape(-1).tolist(), rng.random(n).tolist()
+
+
+def _assert_shared_matches_reference(model, cfg, kappa, a, b, x_a, x_b, rng, ref_rng):
+    br, ref_br = LazyBridge(a, x_a, b, x_b), LazyBridge(a, x_a, b, x_b)
+    est = psi.estimate_with_kappa(model, br, cfg, rng, kappa)
+    ref = _reference_shared(model, ref_br, cfg, kappa,
+                            *_shared_uniforms(cfg, kappa, ref_rng))
+    assert (est.kappa, est.mode, est.n_time_collisions) == (kappa, cfg.mode, 0)
+    assert est.n_bridge_queries == ref_br.total_inserted == br.total_inserted
+    assert [t for t, _ in br.skeleton()] == [t for t, _ in ref_br.skeleton()]
+    for (_, w), (_, ref_w) in zip(br.skeleton(), ref_br.skeleton()):
+        assert math.isclose(w, ref_w, rel_tol=1e-12, abs_tol=1e-12)
+    assert _close(model, est.value, ref, b - a)
+    return est
+
+
+@pytest.mark.parametrize("cfg", [
+    psi.PsiConfig(mode="mc", inner_points=1),
+    psi.PsiConfig(mode="mc", inner_points=16),
+    psi.PsiConfig(mode="rqmc-times", inner_points=16),
+    psi.PsiConfig(mode="rqmc-times", inner_points=64, randomization="owen-scramble"),
+], ids=lambda c: f"{c.mode}-M{c.inner_points}-{c.randomization}")
+@pytest.mark.parametrize("model", [builtin("sine"), builtin("scaled-sine", theta=1.7)],
+                         ids=["sine", "scaled-sine-1.7"])
+def test_shared_path_kernel_matches_bridge_reference(model, cfg):
+    for kappa in range(1, 7):
+        for rep in range(3):
+            r1, r2 = stream(21, kappa, rep), stream(21, kappa, rep)
+            _assert_shared_matches_reference(model, cfg, kappa, 0.5, 2.0,
+                                             0.4 * rep - 0.3, 1.1 - 0.7 * rep, r1, r2)
+            assert r1.random() == r2.random()  # same draws from the stream
+
+
+@pytest.mark.parametrize("mode", ["mc", "rqmc-times"])
+def test_shared_path_forced_duplicates_and_endpoints(monkeypatch, mode):
+    # on [40, 41] a uniform 0 gives t == a and 1 - 2**-53 gives t == b
+    top = 1.0 - 2.0**-53
+    u_time = [0.25, 0.0, 0.25, top, 0.7, 0.25, 0.0, top]
+    u_val = [0.9, 0.3, 0.1, 0.5, 0.0, 0.6, 0.2, 0.8]
+    _fixed_points(monkeypatch, np.reshape(u_time, (4, 2)))
+    cfg = psi.PsiConfig(mode=mode, inner_points=4)
+    draws = u_time + u_val if mode == "mc" else u_val
+    sine = builtin("sine")
+    est = _assert_shared_matches_reference(sine, cfg, 2, 40.0, 41.0, 0.2, -0.4,
+                                           _Draws(draws), _Draws(draws))
+    assert est.n_bridge_queries == 2  # 0.25 and 0.7; the rest are known
+
+
+def test_phi_above_upper_bound_is_numeric_failure():
+    # both factors are usually negative, so their product is positive:
+    # only a check on each factor catches the understated U
+    understated = dataclasses.replace(builtin("sine"), phi_bounds=(-0.5, -0.4))
+    for mode in psi.MODES:
+        cfg = psi.PsiConfig(mode=mode, inner_points=4)
+        for rep in range(5):
+            with pytest.raises(NumericError, match="'sine'.*exceeds its upper bound.*w="):
+                psi.estimate_with_kappa(understated, LazyBridge(0.0, 0.0, 1.0, 0.0),
+                                        cfg, stream(22, rep), 2)
+
+
+def test_long_gap_overflow_is_numeric_failure():
+    # e^{-L(b-a)} = e^{750} overflows a double
+    sine = builtin("sine")
+    for mode in psi.MODES:
+        cfg = psi.PsiConfig(mode=mode, inner_points=4)
+        with pytest.raises(NumericError, match="gap of b-a=1500"):
+            psi.estimate(sine, LazyBridge(0.0, 0.0, 1500.0, 0.0), cfg, stream(23, 0))
+        with pytest.raises(NumericError, match="gap of b-a=1500"):
+            psi.estimate_cloud(sine, 0.0, 1500.0, [0.0, 1.0], [0.0, -1.0], cfg,
+                               [stream(23, 1), stream(23, 2)])
 
 
 @pytest.mark.parametrize("mode", psi.MODES)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -193,10 +194,10 @@ def test_resampling_triggers_and_resets_ess():
 def test_degeneracy_error(monkeypatch):
     zero = builtin("zero")
 
-    def zero_estimate(model, bridge, cfg, rng):
-        return psi.PsiEstimate(0.0, 0, "mc", 0)
+    def zero_estimates(model, a, b, x_a, x_b, cfg, rngs):
+        return [psi.PsiEstimate(0.0, 0, "mc", 0) for _ in rngs]
 
-    monkeypatch.setattr(smc.psi, "estimate", zero_estimate)
+    monkeypatch.setattr(smc.psi, "estimate_cloud", zero_estimates)
     cfg = smc.FilterConfig(n_particles=4, x0=0.0, noise_sd=1.0,
                            psi=psi.PsiConfig(), master_seed=2)
     with pytest.raises(DegeneracyError) as err:
@@ -205,16 +206,17 @@ def test_degeneracy_error(monkeypatch):
 
 
 def test_negative_psi_is_invariant_violation(monkeypatch):
-    zero = builtin("zero")
-
-    def negative_estimate(model, bridge, cfg, rng):
-        return psi.PsiEstimate(-0.1, 1, "mc", 1)
-
-    monkeypatch.setattr(smc.psi, "estimate", negative_estimate)
-    cfg = smc.FilterConfig(n_particles=4, x0=0.0, noise_sd=1.0,
-                           psi=psi.PsiConfig(), master_seed=2)
-    with pytest.raises(NumericError, match="negative psi"):
-        smc.run_filter(zero, [(1.0, 0.0)], cfg)
+    # phi above its declared U makes weight factors negative; an even
+    # number of them would multiply to a positive psi, so each factor is
+    # checked, whatever the mode (kappa has mean 0.1 per unit of time)
+    understated = dataclasses.replace(builtin("sine"), phi_bounds=(-0.5, -0.4))
+    monkeypatch.setattr(smc, "validate_model", lambda model: model)
+    for mode in psi.MODES:
+        cfg = smc.FilterConfig(n_particles=16, x0=0.0, noise_sd=1.0,
+                               psi=psi.PsiConfig(mode=mode, inner_points=4),
+                               master_seed=2)
+        with pytest.raises(NumericError, match="'sine'.*exceeds its upper bound"):
+            smc.run_filter(understated, [(10.0, 0.0)], cfg)
 
 
 def test_filter_config_validation():
