@@ -121,7 +121,7 @@ def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rngs) -> np.ndarray:
             f"above the supported {lowdisc.MAX_DIMENSION}; lower rqmc_kappa_cap"
         )
     base = lowdisc.generate_base(dim, cfg.inner_points)
-    return np.stack([
+    return np.array([
         lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
         for rng in rngs
     ])
@@ -136,8 +136,8 @@ def _uniforms(mode: str, kappa: int, cfg: PsiConfig, rngs) -> tuple[np.ndarray, 
         return points[..., :kappa].reshape(g, n), points[..., kappa:].reshape(g, n)
     if mode == MODE_RQMC_TIMES:
         times = _point_sets(mode, kappa, cfg, rngs).reshape(g, n)
-        return times, np.stack([rng.random(n) for rng in rngs])
-    draws = np.stack([rng.random(2 * n) for rng in rngs])
+        return times, np.array([rng.random(n) for rng in rngs])
+    draws = np.array([rng.random(2 * n) for rng in rngs])
     return draws[:, :n], draws[:, n:]
 
 
@@ -146,8 +146,10 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
     """The estimator body: estimates for the bridges from (a, x_a[i]) to
     (b, x_b[i]) at one kappa, bridge i drawing from ``rngs[i]``.
 
-    Returns the estimates and the fresh (time, value) pairs of the first
-    bridge's shared path, sorted by time (empty when there is none).
+    Returns the estimates and, when kappa > 0, the paths as arrays of
+    times, values and fresh-time flags, one row per path sorted by time:
+    g rows of M * kappa when each bridge has one shared path, g * M rows
+    of kappa when each point has its own.
 
     Each path is sampled over its sorted times t_1 <= ... <= t_n with the
     closed form of the left-to-right conditional recursion,
@@ -169,7 +171,7 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
         ) from None
     mode = cfg.mode
     if kappa == 0:
-        return [PsiEstimate(base, 0, mode, 0) for _ in rngs], ([], [])
+        return [PsiEstimate(base, 0, mode, 0) for _ in rngs], None
     if mode != MODE_MC and kappa > cfg.rqmc_kappa_cap:
         mode = MODE_MC_FALLBACK
 
@@ -201,8 +203,7 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
     z = ndtri(np.maximum(u_val.reshape(-1)[order], _TINY))
     # zero where the time is not fresh, so it keeps the value on the path
     coef = np.sqrt(step / np.where(fresh, (rem + step) * rem, np.inf))
-    reps = len(times) // g                      # paths per bridge
-    w_a, w_b = np.repeat(x_a, reps)[:, None], np.repeat(x_b, reps)[:, None]
+    w_a, w_b = (np.repeat(x, len(times) // g)[:, None] for x in (x_a, x_b))
     w = w_b - rem * ((w_b - w_a) / span - np.cumsum(coef * z, axis=-1))
 
     gap = hi - phi(model, w)
@@ -222,8 +223,7 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
     ests = [PsiEstimate(v, kappa, mode, q, c) for v, q, c in
             zip(values.tolist(), queries.tolist(),
                 nudges.reshape(g, -1).sum(axis=1).tolist())]
-    keep = fresh[0] & shared
-    return ests, (times[0, keep].tolist(), w[0, keep].tolist())
+    return ests, (times, w, fresh)
 
 
 def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
@@ -234,9 +234,11 @@ def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
         raise ContractViolationError(
             f"psi needs a two-point skeleton, got {len(bridge)} points"
         )
-    [est], path = _group(model, bridge.a, bridge.b, [bridge.x_a], [bridge.x_b],
-                         cfg, [rng], kappa)
-    bridge.insert_path(*path)
+    [est], path = _group(model, bridge.a, bridge.b, np.array([bridge.x_a]),
+                         np.array([bridge.x_b]), cfg, [rng], kappa)
+    if est.kappa and est.mode != MODE_RQMC_TIMES_VALUES:
+        times, w, fresh = path
+        bridge.insert_path(times[0, fresh[0]].tolist(), w[0, fresh[0]].tolist())
     return est
 
 
