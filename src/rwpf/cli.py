@@ -4,9 +4,8 @@ Subcommands: simulate | filter | psi-bench | oracle | qmc-dump. All
 experiment commands read a JSON config and write JSON/CSV outputs into
 --out; every output embeds the resolved config and its hash, and
 everything except the wall-time field is reproduced byte-identically
-from (config, seed). --threads is accepted for interface compatibility
-and may only affect speed, never results (the current implementation is
-sequential).
+from (config, seed). --threads is accepted and ignored: every run is
+single-threaded.
 
 Exit codes: 0 success, 2 config error (including a point-set dimension
 above the supported one, which the kappa cap controls), 3 numeric or
@@ -22,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import bench, lowdisc, oracles, smc
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, oracle_settings
 from .errors import NumericError, RwpfError, UnsupportedDimensionError
 from .rngs import NS_ORACLE, stream
 from .simulate import Dataset, simulate
@@ -161,54 +160,36 @@ def _cmd_psi_bench(args) -> None:
 
 
 def _run_oracle(cfg: RunConfig) -> dict:
-    params = dict(cfg.oracle)
-    kind = params.pop("kind", None)
+    params = oracle_settings(cfg.oracle)
+    kind = params["kind"]
     rng = stream(cfg.seed, NS_ORACLE)
     try:
         if kind == "psi-bruteforce":
-            model = cfg.build_model()
             mean, se = oracles.psi_bruteforce(
-                model, float(params["x_a"]), float(params["x_b"]),
-                float(params["a"]), float(params["b"]),
-                int(params.get("n_steps", 2000)), int(params.get("n_paths", 100_000)),
-                rng,
+                cfg.build_model(), params["x_a"], params["x_b"], params["a"],
+                params["b"], params["n_steps"], params["n_paths"], rng,
             )
             return {"value": mean, "se": se}
+        if kind == "transition-histogram":
+            density, edges = oracles.euler_transition_histogram(
+                cfg.build_model(), params["x_a"], params["t"], params["n_steps"],
+                params["n_paths"], params["grid"], rng,
+            )
+            return {"value": None, "se": None,
+                    "density": density.tolist(), "edges": edges.tolist()}
+        ds = _load_dataset(params["dataset"])
         if kind == "kalman":
-            ds = _load_dataset(params["dataset"])
             gaps = [b - a for a, b in zip((0.0, *ds.times), ds.times)]
             res = oracles.kalman_filter(ds.x0, gaps, ds.observations, ds.noise_sd)
             return {"value": res.log_likelihood, "se": 0.0,
                     "means": res.means.tolist(), "variances": res.variances.tolist()}
-        if kind == "grid-filter":
-            model = cfg.build_model()
-            ds = _load_dataset(params["dataset"])
-            g = params["grid"]
-            grid = oracles.GridSpec(float(g["lo"]), float(g["hi"]), int(g["n_cells"]))
-            res = oracles.grid_filter(model, list(zip(ds.times, ds.observations)),
-                                      grid, ds.x0, ds.noise_sd)
-            return {"value": res.log_likelihood, "se": 0.0,
-                    "means": res.posterior_means.tolist(),
-                    "variances": res.posterior_vars.tolist()}
-        if kind == "transition-histogram":
-            model = cfg.build_model()
-            g = params["grid"]
-            grid = oracles.GridSpec(float(g["lo"]), float(g["hi"]), int(g["n_cells"]))
-            density, edges = oracles.euler_transition_histogram(
-                model, float(params["x_a"]), float(params["t"]),
-                int(params.get("n_steps", 2000)), int(params.get("n_paths", 100_000)),
-                grid, rng,
-            )
-            return {"value": None, "se": None,
-                    "density": density.tolist(), "edges": edges.tolist()}
-    except KeyError as exc:
-        raise ConfigError(f"oracle: missing field {exc}") from None
+        res = oracles.grid_filter(cfg.build_model(), list(zip(ds.times, ds.observations)),
+                                  params["grid"], ds.x0, ds.noise_sd)
+        return {"value": res.log_likelihood, "se": 0.0,
+                "means": res.posterior_means.tolist(),
+                "variances": res.posterior_vars.tolist()}
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from None
-    raise ConfigError(
-        "oracle.kind: must be one of psi-bruteforce | kalman | grid-filter "
-        "| transition-histogram"
-    )
 
 
 def _cmd_oracle(args) -> None:
@@ -255,7 +236,7 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--data", required=True, help="dataset.json path")
         if threads:
             sp.add_argument("--threads", type=int, default=1,
-                            help="worker hint; affects speed only, never results")
+                            help="accepted and ignored; runs are single-threaded")
 
     common(sub.add_parser("simulate", help="generate a latent path + observations"))
     common(sub.add_parser("filter", help="run the particle filter on a dataset"),

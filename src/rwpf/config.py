@@ -8,9 +8,10 @@ is what gets echoed into every output file together with its hash.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
-from . import models, psi
+from . import models, oracles, psi
 from .errors import ConfigError
 from .proposal import MODE_TILTED, PROPOSALS
 from .smc import RESAMPLING_SCHEMES, FilterConfig, check_observation_times
@@ -111,18 +112,33 @@ class RunConfig:
         })
 
 
-def _take(raw: dict, key: str, kind, required=False, default=None):
+def _finite(val, name: str) -> float | None:
+    """``val`` as a finite float, None when it is no number; JSON's NaN and
+    Infinity and integers past the float range are errors."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return None
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{name}: expected a finite number, got {out!r}")
+    return out
+
+
+def _take(raw: dict, key: str, kind, required=False, default=None, where=""):
+    name = where + key
     if key not in raw:
         if required:
-            raise ConfigError(f"{key}: required field is missing")
+            raise ConfigError(f"{name}: required field is missing")
         return default
     val = raw.pop(key)
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
+    if kind is float and (num := _finite(val, name)) is not None:
+        return num
     if kind is int and isinstance(val, int) and not isinstance(val, bool):
         return val
-    if not isinstance(val, kind):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {type(val).__name__}")
+    if kind is float or not isinstance(val, kind):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {type(val).__name__}")
     return val
 
 
@@ -131,20 +147,17 @@ def _obs_times(raw: dict) -> tuple[float, ...]:
     if given is None:
         raise ConfigError("observation_times: required field is missing")
     if isinstance(given, list):
-        times = []
-        for i, t in enumerate(given):
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise ConfigError(f"observation_times[{i}]: expected a number")
-            times.append(float(t))
+        times = [_finite(t, f"observation_times[{i}]") for i, t in enumerate(given)]
+        if None in times:
+            raise ConfigError(f"observation_times[{times.index(None)}]: expected a number")
     elif isinstance(given, dict):
-        count = given.get("count")
-        spacing = given.get("spacing")
+        count, spacing = given.get("count"), given.get("spacing")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError("observation_times.count: expected positive integer")
-        if (not isinstance(spacing, (int, float)) or isinstance(spacing, bool)
-                or spacing <= 0):
+        if (_finite(spacing, "observation_times.spacing") or 0.0) <= 0:
             raise ConfigError("observation_times.spacing: expected positive number")
         times = [spacing * (k + 1) for k in range(count)]
+        _finite(times[-1], f"observation_times[{count - 1}]")
     else:
         raise ConfigError("observation_times: expected a list or {count, spacing}")
     try:
@@ -221,6 +234,43 @@ def _bench_config(raw: dict) -> BenchConfig | None:
     return cfg
 
 
+# oracle kind -> {field: (type, default)}; a default of None marks a required field
+_ORACLES = {
+    "psi-bruteforce": {"x_a": (float, None), "x_b": (float, None), "a": (float, None),
+                       "b": (float, None), "n_steps": (int, 2000), "n_paths": (int, 100_000)},
+    "kalman": {"dataset": (str, None)},
+    "grid-filter": {"dataset": (str, None), "grid": (dict, None)},
+    "transition-histogram": {"x_a": (float, None), "t": (float, None), "grid": (dict, None),
+                             "n_steps": (int, 2000), "n_paths": (int, 100_000)},
+}
+
+
+def oracle_settings(section: dict) -> dict:
+    """The oracle section's fields, typed and with defaults filled in, and
+    its grid as a GridSpec; ConfigError names the offending field."""
+    sub = dict(section)
+    kind = _take(sub, "kind", str, required=True, where="oracle.")
+    if kind not in _ORACLES:
+        raise ConfigError(f"oracle.kind: must be one of {' | '.join(_ORACLES)}")
+    out = {"kind": kind}
+    for key, (typ, default) in _ORACLES[kind].items():
+        out[key] = _take(sub, key, typ, required=default is None, default=default,
+                         where="oracle.")
+    if sub:
+        raise ConfigError(f"oracle: unknown fields {sorted(sub)}")
+    if "grid" in out:
+        grid = dict(out["grid"])
+        spec = [_take(grid, key, typ, required=True, where="oracle.grid.")
+                for key, typ in (("lo", float), ("hi", float), ("n_cells", int))]
+        if grid:
+            raise ConfigError(f"oracle.grid: unknown fields {sorted(grid)}")
+        try:
+            out["grid"] = oracles.GridSpec(*spec)
+        except ValueError as exc:
+            raise ConfigError(f"oracle.grid: {exc}") from None
+    return out
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a JSON config object; raises ConfigError with field names."""
     if not isinstance(raw, dict):
@@ -233,6 +283,8 @@ def parse_config(raw: dict) -> RunConfig:
     name = model_spec.pop("name", None)
     if not isinstance(name, str):
         raise ConfigError("model.name: required string")
+    for key, val in model_spec.items():
+        _finite(val, f"model.{key}")
 
     seed = _take(raw, "seed", int, required=True)
 
@@ -284,6 +336,8 @@ def parse_config(raw: dict) -> RunConfig:
     )
     if raw:
         raise ConfigError(f"config: unknown fields {sorted(raw)}")
+    if cfg.oracle is not None:
+        oracle_settings(cfg.oracle)   # checked here, echoed as given
 
     model = cfg.build_model()  # validates name + params
     if cfg.proposal == MODE_TILTED and model.tilted_log_normalizer is None:

@@ -52,6 +52,8 @@ def psi_bruteforce(model: DriftModel, x_a: float, x_b: float, a: float, b: float
     uses the trapezoid rule, so the discretization bias is O(n_steps^-2)
     for smooth phi.
     """
+    if not b > a:
+        raise ValueError(f"need b > a, got ({a}, {b})")
     if n_steps < 100:
         raise ValueError("n_steps must be >= 100")
     if n_paths < 1000:

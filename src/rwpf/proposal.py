@@ -1,4 +1,4 @@
-"""Particle propagation between observation times.
+"""Particle propagation between observation times, for a whole cloud.
 
 The transition density factorizes into a Gaussian kernel, the drift tilt
 exp{A(x_b) - A(x_a)}, and the bridge functional expectation. Two
@@ -10,10 +10,18 @@ proposal modes cover the two ways of placing the tilt:
   rejection under a model-declared envelope); the weight then needs the
   kernel's normalizing constant in closed form, so this mode requires
   the ``tilted_normalizer`` capability.
+
+``propose`` moves every particle at once: particle i starts at x_a[i]
+and draws from its own stream ``rngs[i]``, the draws a one-particle
+proposal would make on that stream. The landing points and log weight
+factors come back as arrays; the tilted kernel is sampled stream by
+stream through ``sample_tilted``.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericError, UnsupportedOperationError
 from .models import DriftModel
@@ -30,21 +38,10 @@ MAX_REJECTION_TRIALS = 10**6
 
 @dataclass
 class ProposalOutcome:
-    x_b: float
-    log_weight_factor: float  # log of the weight term multiplying the psi estimate
-    n_rejections: int
+    x_b: np.ndarray                # (N,) landing points
+    log_weight_factor: np.ndarray  # (N,) log of the weight term multiplying psi
+    n_rejections: int              # rejected trials over the cloud
     mode: str
-
-
-def propose_gaussian(model: DriftModel, x_a: float, a: float, b: float,
-                     rng) -> ProposalOutcome:
-    """Gaussian random-walk proposal with the tilt absorbed into the weight."""
-    t = b - a
-    if t <= 0:
-        raise ValueError(f"need b > a, got ({a}, {b})")
-    x_b = x_a + math.sqrt(t) * rng.normal()
-    lwf = float(model.big_a(x_b) - model.big_a(x_a))
-    return ProposalOutcome(x_b, lwf, 0, MODE_GAUSSIAN)
 
 
 def sample_tilted(model: DriftModel, x_a: float, a: float, b: float,
@@ -83,24 +80,25 @@ def sample_tilted(model: DriftModel, x_a: float, a: float, b: float,
     )
 
 
-def propose_tilted(model: DriftModel, x_a: float, a: float, b: float,
-                   rng) -> ProposalOutcome:
-    """Tilted-kernel proposal; weight factor is the kernel's normalizer."""
+def propose(model: DriftModel, x_a, a: float, b: float, rngs,
+            mode: str) -> ProposalOutcome:
+    """Move particle i from (a, x_a[i]) to time b, drawing from ``rngs[i]``."""
+    t = b - a
+    if t <= 0:
+        raise ValueError(f"need b > a, got ({a}, {b})")
+    x_a = np.asarray(x_a, dtype=np.float64)
+    if mode == MODE_GAUSSIAN:
+        z = np.fromiter((rng.normal() for rng in rngs), np.float64, len(rngs))
+        x_b = x_a + math.sqrt(t) * z
+        return ProposalOutcome(x_b, model.big_a(x_b) - model.big_a(x_a), 0, mode)
+    if mode != MODE_TILTED:
+        raise ValueError(f"unknown proposal mode {mode!r}")
     if model.tilted_log_normalizer is None:
         raise UnsupportedOperationError(
             f"model {model.name!r} lacks the tilted_normalizer capability; "
             "its tilted kernel cannot be used for weighting (use gaussian mode)"
         )
-    x_b, n_rej, mode = sample_tilted(model, x_a, a, b, rng)
-    return ProposalOutcome(x_b, float(model.tilted_log_normalizer(x_a, b - a)),
-                           n_rej, mode)
-
-
-def propose(model: DriftModel, x_a: float, a: float, b: float, rng,
-            mode: str) -> ProposalOutcome:
-    if mode == MODE_GAUSSIAN:
-        return propose_gaussian(model, x_a, a, b, rng)
-    if mode == MODE_TILTED:
-        return propose_tilted(model, x_a, a, b, rng)
-    raise ValueError(f"unknown proposal mode {mode!r}")
-
+    x_b, n_rej, tags = zip(*(sample_tilted(model, x, a, b, rng)
+                             for x, rng in zip(x_a.tolist(), rngs)))
+    log_norm = np.zeros(len(x_a)) + model.tilted_log_normalizer(x_a, t)
+    return ProposalOutcome(np.array(x_b), log_norm, sum(n_rej), tags[0])

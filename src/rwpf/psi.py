@@ -29,15 +29,16 @@ pairs by one array kernel, many bridges at one kappa at a time. On a
 shared path a repeated time, or one equal to a or b, takes the value
 already known, as a lazily refined skeleton would.
 
-There are three entry points: ``estimate`` draws kappa itself,
+There are three entry points. ``estimate`` draws kappa itself and
 ``estimate_with_kappa`` takes one drawn by the caller (the paired
-benchmark offers the same kappa to every mode), and ``estimate_cloud``
-does ``estimate``'s work for a whole particle cloud, grouping the
-particles by kappa and making the same draws on each particle's stream.
-The first two run the kernel on a batch of one and write the fresh
-points of the shared path into the caller's ``LazyBridge``. kappa is
-always pseudo-random, never taken from the point set. Above the
-configured kappa cap the point-set modes fall back to plain MC (tagged
+benchmark offers the same kappa to every mode); both run the kernel on a
+batch of one, return scalar fields and write the fresh points of the
+shared path into the caller's ``LazyBridge``. ``estimate_cloud`` does
+``estimate``'s work for a whole particle cloud: it groups the particles
+by kappa, makes the same draws on each particle's stream, and returns
+one estimate whose fields are arrays over the cloud. kappa is always
+pseudo-random, never taken from the point set. Above the configured
+kappa cap the point-set modes fall back to plain MC (tagged
 ``mc-fallback``), reflecting that the point-set route only pays off when
 kappa is small.
 """
@@ -88,6 +89,7 @@ class PsiConfig:
 
 @dataclass
 class PsiEstimate:
+    """Scalars for one bridge; length-N arrays for a cloud (``estimate_cloud``)."""
     value: float
     kappa: int
     mode: str
@@ -105,7 +107,12 @@ def sample_kappa(rate_interval: tuple[float, float], a: float, b: float, rng) ->
     rate = (hi - lo) * (b - a)
     if rate == 0.0:
         return 0
-    return int(rng.poisson(rate))
+    try:
+        return int(rng.poisson(rate))
+    except ValueError:   # numpy refuses a rate near 2^63 or above
+        raise NumericError(
+            f"kappa rate (U-L)(b-a)={rate} is too large to sample on a gap of b-a={b - a}"
+        ) from None
 
 
 def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rngs) -> np.ndarray:
@@ -146,10 +153,11 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
     """The estimator body: estimates for the bridges from (a, x_a[i]) to
     (b, x_b[i]) at one kappa, bridge i drawing from ``rngs[i]``.
 
-    Returns the estimates and, when kappa > 0, the paths as arrays of
-    times, values and fresh-time flags, one row per path sorted by time:
-    g rows of M * kappa when each bridge has one shared path, g * M rows
-    of kappa when each point has its own.
+    Returns the mode run, the values, bridge queries and time collisions
+    as arrays over the bridges, and, when kappa > 0, the paths as arrays
+    of times, values and fresh-time flags, one row per path sorted by
+    time: g rows of M * kappa when each bridge has one shared path,
+    g * M rows of kappa when each point has its own.
 
     Each path is sampled over its sorted times t_1 <= ... <= t_n with the
     closed form of the left-to-right conditional recursion,
@@ -169,13 +177,13 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
             f"weight factor e^(-L(b-a)) overflows for model {model.name!r} "
             f"on a gap of b-a={span} (L={lo})"
         ) from None
-    mode = cfg.mode
+    mode, g, m = cfg.mode, len(rngs), cfg.inner_points
     if kappa == 0:
-        return [PsiEstimate(base, 0, mode, 0) for _ in rngs], None
+        zeros = np.zeros(g, dtype=np.int64)
+        return mode, np.full(g, base), zeros, zeros, None
     if mode != MODE_MC and kappa > cfg.rqmc_kappa_cap:
         mode = MODE_MC_FALLBACK
 
-    g, m = len(rngs), cfg.inner_points
     u_time, u_val = _uniforms(mode, kappa, cfg, rngs)
     shared = mode != MODE_RQMC_TIMES_VALUES
     width = m * kappa if shared else kappa     # times per path
@@ -219,11 +227,8 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
     finite = np.isfinite(values)
     if not finite.all():
         raise NumericError(f"psi estimate is not finite: {float(values[~finite][0])!r}")
-    queries = fresh.reshape(g, -1).sum(axis=1)
-    ests = [PsiEstimate(v, kappa, mode, q, c) for v, q, c in
-            zip(values.tolist(), queries.tolist(),
-                nudges.reshape(g, -1).sum(axis=1).tolist())]
-    return ests, (times, w, fresh)
+    return (mode, values, fresh.reshape(g, -1).sum(axis=1),
+            nudges.reshape(g, -1).sum(axis=1), (times, w, fresh))
 
 
 def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
@@ -234,12 +239,13 @@ def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
         raise ContractViolationError(
             f"psi needs a two-point skeleton, got {len(bridge)} points"
         )
-    [est], path = _group(model, bridge.a, bridge.b, np.array([bridge.x_a]),
-                         np.array([bridge.x_b]), cfg, [rng], kappa)
-    if est.kappa and est.mode != MODE_RQMC_TIMES_VALUES:
+    mode, *fields, path = _group(model, bridge.a, bridge.b, np.array([bridge.x_a]),
+                                 np.array([bridge.x_b]), cfg, [rng], kappa)
+    if kappa and mode != MODE_RQMC_TIMES_VALUES:
         times, w, fresh = path
         bridge.insert_path(times[0, fresh[0]].tolist(), w[0, fresh[0]].tolist())
-    return est
+    [value], [queries], [collisions] = (x.tolist() for x in fields)
+    return PsiEstimate(value, kappa, mode, queries, collisions)
 
 
 def estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
@@ -263,9 +269,9 @@ def estimate_with_kappa(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
 
 
 def estimate_cloud(model: DriftModel, a: float, b: float, x_a, x_b,
-                   cfg: PsiConfig, rngs) -> list[PsiEstimate]:
-    """One estimate per particle: bridge i runs from (a, x_a[i]) to
-    (b, x_b[i]) and draws from ``rngs[i]``.
+                   cfg: PsiConfig, rngs) -> PsiEstimate:
+    """Estimates for a cloud: bridge i runs from (a, x_a[i]) to (b, x_b[i])
+    and draws from ``rngs[i]``; every field is an array over the bridges.
 
     Each stream sees the draws ``estimate`` would make on it, in the same
     order: every kappa first, then one body call per distinct kappa, in
@@ -273,13 +279,14 @@ def estimate_cloud(model: DriftModel, a: float, b: float, x_a, x_b,
     per-particle loop would have stopped at.
     """
     x_a, x_b = np.asarray(x_a, dtype=np.float64), np.asarray(x_b, dtype=np.float64)
-    groups: dict[int, list[int]] = {}
-    for i, rng in enumerate(rngs):
-        groups.setdefault(sample_kappa(model.phi_bounds, a, b, rng), []).append(i)
-    out: list[PsiEstimate | None] = [None] * len(rngs)
-    for kappa, idx in groups.items():
-        ests, _ = _group(model, a, b, x_a[idx], x_b[idx], cfg,
-                         [rngs[i] for i in idx], kappa)
-        for i, est in zip(idx, ests):
-            out[i] = est
+    n = len(rngs)
+    kappa = np.fromiter((sample_kappa(model.phi_bounds, a, b, rng) for rng in rngs),
+                        np.int64, n)
+    out = PsiEstimate(np.empty(n), kappa, np.full(n, cfg.mode, dtype=object),
+                      np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+    for k in dict.fromkeys(kappa.tolist()):
+        idx = np.flatnonzero(kappa == k)
+        (out.mode[idx], out.value[idx], out.n_bridge_queries[idx],
+         out.n_time_collisions[idx], _) = _group(
+            model, a, b, x_a[idx], x_b[idx], cfg, [rngs[i] for i in idx], k)
     return out

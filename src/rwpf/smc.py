@@ -8,11 +8,14 @@ estimates are unbiased and positive, the filter is a standard
 pseudo-marginal SMC scheme: the likelihood estimate stays unbiased and
 the targeted distributions are unchanged.
 
-Weights live in log space throughout. Each particle owns an independent
-random stream derived from the master seed, and resampling uses a
-dedicated stream, so results depend only on (config, master seed).
+A step is array work over the whole cloud: one proposal call, one psi
+call and the weights as one array expression. Weights live in log space
+throughout. Each particle owns an independent random stream derived from
+the master seed, and resampling uses a dedicated stream, so results
+depend only on (config, master seed).
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -111,16 +114,11 @@ def _normalized(log_weights: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def systematic_indices(weights: np.ndarray, u: float) -> np.ndarray:
-    """Offspring ancestor indices from one pivot u in [0, 1)."""
+def pivot_indices(weights: np.ndarray, u) -> np.ndarray:
+    """Offspring ancestor indices at the pivots (u + k) / n, k < n: one
+    uniform u in [0, 1) for systematic resampling, n of them for stratified."""
     n = len(weights)
     pivots = (u + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), pivots, side="right").clip(0, n - 1)
-
-
-def stratified_indices(weights: np.ndarray, us: np.ndarray) -> np.ndarray:
-    n = len(weights)
-    pivots = (np.arange(n) + us) / n
     return np.searchsorted(np.cumsum(weights), pivots, side="right").clip(0, n - 1)
 
 
@@ -139,18 +137,13 @@ def resample(cloud: ParticleCloud, scheme: str, rng) -> ParticleCloud:
     if scheme == "multinomial":
         idx = multinomial_indices(w, rng)
     elif scheme == "systematic":
-        idx = systematic_indices(w, float(rng.random()))
+        idx = pivot_indices(w, float(rng.random()))
     elif scheme == "stratified":
-        idx = stratified_indices(w, rng.random(len(w)))
+        idx = pivot_indices(w, rng.random(len(w)))
     else:
         raise ValueError(f"unknown resampling scheme {scheme!r}")
-    return ParticleCloud(
-        positions=cloud.positions[idx],
-        log_weights=np.zeros(cloud.n),
-        rng_streams=cloud.rng_streams,
-        resample_rng=cloud.resample_rng,
-        step_index=cloud.step_index,
-    )
+    return dataclasses.replace(cloud, positions=cloud.positions[idx],
+                               log_weights=np.zeros(cloud.n))
 
 
 def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float],
@@ -166,17 +159,14 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
         raise ValueError(f"interval ({a}, {b}) inconsistent with obs time {t_obs}")
     var_obs = sigma * sigma
 
-    n = cloud.n
-    positions = cloud.positions
-    streams = cloud.rng_streams
-    outs = [proposal.propose(model, float(positions[i]), a, b, streams[i], proposal_mode)
-            for i in range(n)]
-    new_pos = np.array([out.x_b for out in outs])
-    ests = psi.estimate_cloud(model, a, b, positions, new_pos, psi_cfg, streams)
-    log_psi = np.array([math.log(est.value) if est.value > 0 else -math.inf
-                        for est in ests])
-    incr = (np.array([out.log_weight_factor for out in outs]) + log_psi
-            + norm_logpdf(y, new_pos, var_obs))
+    moved = proposal.propose(model, cloud.positions, a, b, cloud.rng_streams,
+                             proposal_mode)
+    new_pos = moved.x_b
+    est = psi.estimate_cloud(model, a, b, cloud.positions, new_pos, psi_cfg,
+                             cloud.rng_streams)
+    with np.errstate(divide="ignore"):
+        log_psi = np.log(est.value)
+    incr = moved.log_weight_factor + log_psi + norm_logpdf(y, new_pos, var_obs)
 
     old_norm = cloud.log_weights - logsumexp(cloud.log_weights)
     with np.errstate(invalid="ignore"):
@@ -195,13 +185,13 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
 
     new_cloud = ParticleCloud(new_pos, new_lw, cloud.rng_streams,
                               cloud.resample_rng, cloud.step_index + 1)
-    resampled = ess_val < ess_threshold * n and n > 1
+    resampled = ess_val < ess_threshold * cloud.n and cloud.n > 1
     if resampled:
         new_cloud = resample(new_cloud, resample_scheme, new_cloud.resample_rng)
 
     report = FilterStepReport(
         time=b, ess=ess_val, log_likelihood_increment=loglik_inc,
-        resampled=resampled, mean_kappa=float(np.mean([est.kappa for est in ests])),
+        resampled=resampled, mean_kappa=float(np.mean(est.kappa)),
         posterior_mean=post_mean, posterior_var=post_var,
     )
     return new_cloud, report

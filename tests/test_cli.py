@@ -112,6 +112,12 @@ def test_bad_config_exits_2(tmp_path):
     r = _run("simulate", "--config", str(missing), "--out", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "seed" in r.stderr
+    # json writes and reads NaN and Infinity; the config refuses them
+    for field, value in [("x0", math.nan), ("observation_times", [1.0, math.inf])]:
+        nonfinite = _write_config(tmp_path / "nonfinite.json", **{field: value})
+        r = _run("simulate", "--config", str(nonfinite), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith(f"config error: {field}")
 
 
 def test_degeneracy_maps_to_exit_3(tmp_path, monkeypatch):
@@ -207,6 +213,15 @@ def test_psi_bench_bad_bench_section_exits_2(tmp_path):
 
 
 def test_long_gap_overflow_exits_3(tmp_path):
+    # a gap of 1e19 puts the kappa rate past numpy's Poisson range
+    cfg = _write_config(tmp_path / "cfg.json", extra={
+        "model": {"name": "sine"},
+        "bench": {"x_a": 0.0, "x_b": 0.0, "a": 0.0, "b": 1e19,
+                  "inner_points_grid": [4], "replications": 2},
+    })
+    r = _run("psi-bench", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("numeric error: ") and "gap of b-a=1e+19" in r.stderr
     # sine over a 1500-unit gap: e^{-L(b-a)} = e^{750} overflows
     out = tmp_path / "out"
     for mode in ("mc", "rqmc-times-values"):
@@ -299,10 +314,14 @@ def test_oracle_kalman_matches_library(tmp_path):
 
 
 def test_oracle_unknown_kind(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json",
-                        extra={"oracle": {"kind": "tarot"}})
-    r = _run("oracle", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert r.returncode == 2
+    good = {"kind": "psi-bruteforce", "x_a": 0.0, "x_b": 0.0, "a": 0.0, "b": 1.0,
+            "n_steps": 200, "n_paths": 2000}
+    for oracle in ({"kind": "tarot"}, {**good, "x_a": None}, {**good, "x_a": True},
+                   {**good, "n_pathz": 2000}, {**good, "a": 1.0, "b": 0.5}):
+        cfg = _write_config(tmp_path / "cfg.json", extra={"oracle": oracle})
+        r = _run("oracle", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("config error: oracle"), r.stderr
 
 
 def test_unsupported_dimension_exits_2(tmp_path):

@@ -20,6 +20,7 @@ def _base_config(**overrides):
 
 _BENCH = {"x_a": 0.0, "x_b": 1.0, "a": 0.0, "b": 1.0,
           "inner_points_grid": [4], "replications": 10}
+_ORACLE = {"kind": "psi-bruteforce", "x_a": 0.0, "x_b": 0.0, "a": 0.0, "b": 1.0}
 
 
 def test_parse_minimal_and_defaults():
@@ -79,6 +80,18 @@ def test_rqmc_mode_alias_selects_default_layout():
     (dict(bench={**_BENCH, "inner_points_grid": [True]}), "bench.inner_points_grid"),
     (dict(bench={**_BENCH, "randomization": "none"}), "bench.randomization"),
     (dict(bench={**_BENCH, "kappa_cap": 0}), "bench.kappa_cap"),
+    (dict(x0=float("nan")), "x0"),
+    (dict(x0=10**400), "x0"),
+    (dict(model={"name": "scaled-sine", "theta": float("nan")}), "model.theta"),
+    (dict(observation_times=[1.0, float("inf")]), "observation_times"),
+    (dict(observation_times={"count": 2, "spacing": float("nan")}), "observation_times"),
+    (dict(observation_times={"count": 2, "spacing": 1e308}), "observation_times"),
+    (dict(oracle={**_ORACLE, "x_a": None}), "oracle.x_a"),
+    (dict(oracle={**_ORACLE, "x_a": True}), "oracle.x_a"),
+    (dict(oracle={**_ORACLE, "n_pathz": 5000}), "oracle"),
+    (dict(oracle={k: v for k, v in _ORACLE.items() if k != "x_a"}), "oracle.x_a"),
+    (dict(oracle={"kind": "grid-filter", "dataset": "d.json",
+                  "grid": {"lo": 0.0, "hi": 1.0, "n_cells": True}}), "oracle.grid.n_cells"),
 ])
 def test_parse_field_errors(mutation, fragment):
     raw = _base_config()

@@ -18,11 +18,18 @@ def norm_pdf(x, mean, var):
     return math.exp(norm_logpdf(x, mean, var))
 
 
+def _propose_one(model, x_a, a, b, rng, mode):
+    """``propose`` on a cloud of one particle, with scalar fields."""
+    out = proposal.propose(model, [x_a], a, b, [rng], mode)
+    [x_b], [lwf] = out.x_b.tolist(), out.log_weight_factor.tolist()
+    return dataclasses.replace(out, x_b=x_b, log_weight_factor=lwf)
+
+
 def test_gaussian_zero_drift_weight_factor():
     zero = builtin("zero")
     rng = stream(1, 0)
     for _ in range(50):
-        out = proposal.propose_gaussian(zero, 0.3, 0.0, 1.0, rng)
+        out = _propose_one(zero, 0.3, 0.0, 1.0, rng, "gaussian")
         assert out.log_weight_factor == 0.0
         assert out.mode == "gaussian" and out.n_rejections == 0
 
@@ -30,7 +37,7 @@ def test_gaussian_zero_drift_weight_factor():
 def test_gaussian_tanh_weight_factor_matches_quadrature():
     tanh = builtin("tanh")
     rng = stream(2, 0)
-    out = proposal.propose_gaussian(tanh, 0.0, 0.0, 1.0, rng)
+    out = _propose_one(tanh, 0.0, 0.0, 1.0, rng, "gaussian")
     expected, err = quad(math.tanh, 0.0, out.x_b)
     assert err < 1e-9
     assert out.log_weight_factor == pytest.approx(expected, abs=1e-9)
@@ -43,8 +50,8 @@ def test_gaussian_moments():
     zero = builtin("zero")
     rng = stream(3, 0)
     n = 100_000
-    draws = np.array([proposal.propose_gaussian(zero, 2.0, 0.0, 0.5, rng).x_b
-                      for _ in range(n)])
+    # one stream serves every particle: the draws of n one-particle calls
+    draws = proposal.propose(zero, np.full(n, 2.0), 0.0, 0.5, [rng] * n, "gaussian").x_b
     se_mean = math.sqrt(0.5 / n)
     assert abs(draws.mean() - 2.0) < 4 * se_mean
     var = draws.var(ddof=1)
@@ -54,10 +61,10 @@ def test_gaussian_moments():
 def test_tilted_tanh_exact():
     tanh = builtin("tanh")
     rng = stream(4, 0)
-    out = proposal.propose_tilted(tanh, 0.7, 0.0, 1.0, rng)
+    out = _propose_one(tanh, 0.7, 0.0, 1.0, rng, "tilted")
     assert out.mode == "tilted-exact"
     assert out.log_weight_factor == 0.5  # t/2 exactly, any x_a
-    out2 = proposal.propose_tilted(tanh, -3.0, 1.0, 3.5, rng)
+    out2 = _propose_one(tanh, -3.0, 1.0, 3.5, rng, "tilted")
     assert out2.log_weight_factor == 1.25
 
 
@@ -67,8 +74,7 @@ def test_tilted_tanh_density():
     tanh = builtin("tanh")
     rng = stream(5, 0)
     n = 100_000
-    draws = np.array([proposal.propose_tilted(tanh, 0.0, 0.0, 1.0, rng).x_b
-                      for _ in range(n)])
+    draws = proposal.propose(tanh, np.zeros(n), 0.0, 1.0, [rng] * n, "tilted").x_b
     edges = np.linspace(-4.0, 4.0, 41)
     counts, _ = np.histogram(draws, bins=edges)
     width = edges[1] - edges[0]
@@ -83,7 +89,7 @@ def test_tilted_tanh_density():
 def test_tilted_zero_is_gaussian():
     zero = builtin("zero")
     rng = stream(6, 0)
-    out = proposal.propose_tilted(zero, 1.0, 0.0, 1.0, rng)
+    out = _propose_one(zero, 1.0, 0.0, 1.0, rng, "tilted")
     assert out.log_weight_factor == 0.0
     assert out.mode == "tilted-exact"
 
@@ -91,7 +97,7 @@ def test_tilted_zero_is_gaussian():
 def test_tilted_sine_unsupported_for_weighting():
     sine = builtin("sine")
     with pytest.raises(UnsupportedOperationError):
-        proposal.propose_tilted(sine, 0.0, 0.0, 1.0, stream(7, 0))
+        proposal.propose(sine, [0.0], 0.0, 1.0, [stream(7, 0)], "tilted")
 
 
 def test_sine_rejection_sampler_against_quadrature():
@@ -200,6 +206,35 @@ def test_rejection_trial_cap_surfaces_as_error(monkeypatch):
 def test_unknown_mode_and_bad_interval():
     zero = builtin("zero")
     with pytest.raises(ValueError):
-        proposal.propose(zero, 0.0, 0.0, 1.0, stream(13, 0), "laplace")
+        proposal.propose(zero, [0.0], 0.0, 1.0, [stream(13, 0)], "laplace")
     with pytest.raises(ValueError):
-        proposal.propose_gaussian(zero, 0.0, 1.0, 1.0, stream(13, 1))
+        proposal.propose(zero, [0.0], 1.0, 1.0, [stream(13, 1)], "gaussian")
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("sine", "gaussian"), ("tanh", "gaussian"), ("tanh", "tilted"), ("zero", "tilted"),
+    ("sine-with-normalizer", "tilted"),   # the rejection sampler, stream by stream
+])
+def test_cloud_propose_matches_per_stream_loop(name, mode):
+    if name == "sine-with-normalizer":
+        model = dataclasses.replace(builtin("sine"), tilted_log_normalizer=lambda x_a, t: 0.25)
+    else:
+        model = builtin(name)
+    n, a, b = 64, 0.5, 1.75
+    x_a = np.linspace(-3.0, 3.0, n)
+    cloud_rngs, loop_rngs = ([stream(30, i) for i in range(n)] for _ in range(2))
+    out = proposal.propose(model, x_a, a, b, cloud_rngs, mode)
+    assert out.x_b.shape == out.log_weight_factor.shape == (n,)
+    rejections = 0
+    for i, (x, rng) in enumerate(zip(x_a.tolist(), loop_rngs)):
+        if mode == "gaussian":
+            x_b = x + math.sqrt(b - a) * rng.normal()
+            lwf = float(model.big_a(x_b) - model.big_a(x))
+        else:
+            x_b, n_rej, _ = proposal.sample_tilted(model, x, a, b, rng)
+            lwf = float(model.tilted_log_normalizer(x, b - a))
+            rejections += n_rej
+        assert (out.x_b[i], out.log_weight_factor[i]) == (x_b, lwf), i
+    assert type(out.n_rejections) is int and out.n_rejections == rejections
+    assert (rejections > 0) == (name == "sine-with-normalizer")
+    assert [r.random() for r in cloud_rngs] == [r.random() for r in loop_rngs]

@@ -22,6 +22,12 @@ ALL_CONFIGS = [
 ]
 
 
+def _unstacked(cloud):
+    """An ``estimate_cloud`` result as one scalar PsiEstimate per particle."""
+    fields = (getattr(cloud, f.name).tolist() for f in dataclasses.fields(psi.PsiEstimate))
+    return [psi.PsiEstimate(*row) for row in zip(*fields)]
+
+
 def _fixture(name):
     with open(FIXTURES / f"{name}.json") as f:
         fx = json.load(f)
@@ -315,8 +321,8 @@ def test_times_values_forced_collisions_match_reference(monkeypatch, a, b, rows)
         # the same points for a cloud of bridges through estimate_cloud
         n = 64
         x_a, x_b = np.linspace(-2.0, 2.0, n), np.cos(np.arange(n))
-        cloud = psi.estimate_cloud(model, a, b, x_a, x_b, cfg,
-                                   [stream(17, 1, i) for i in range(n)])
+        cloud = _unstacked(psi.estimate_cloud(model, a, b, x_a, x_b, cfg,
+                                              [stream(17, 1, i) for i in range(n)]))
         hit = [i for i, e in enumerate(cloud) if e.kappa == 3]  # the rows' kappa
         assert len(hit) >= 2
         for i in hit:
@@ -463,6 +469,9 @@ def test_long_gap_overflow_is_numeric_failure():
         with pytest.raises(NumericError, match="gap of b-a=1500"):
             psi.estimate_cloud(sine, 0.0, 1500.0, [0.0, 1.0], [0.0, -1.0], cfg,
                                [stream(23, 1), stream(23, 2)])
+    # a rate past numpy's Poisson range fails typed, naming the gap
+    with pytest.raises(NumericError, match="gap of b-a=1e"):
+        psi.sample_kappa(sine.phi_bounds, 0.0, 1e19, stream(23, 3))
 
 
 @pytest.mark.parametrize("mode", psi.MODES)
@@ -477,7 +486,7 @@ def test_estimate_cloud_matches_per_particle_estimates(mode, scheme):
     x_b = np.cos(np.arange(n))
     cloud_rngs = [stream(20, i) for i in range(n)]
     loop_rngs = [stream(20, i) for i in range(n)]
-    cloud = psi.estimate_cloud(sine, 1.0, 3.0, x_a, x_b, cfg, cloud_rngs)
+    cloud = _unstacked(psi.estimate_cloud(sine, 1.0, 3.0, x_a, x_b, cfg, cloud_rngs))
     ests = [psi.estimate(sine, LazyBridge(1.0, x_a[i], 3.0, x_b[i]), cfg, loop_rngs[i])
             for i in range(n)]
     # batches of one and of many run the same kernel: equal values too
