@@ -65,12 +65,21 @@ def _cell(v) -> str:
 
 
 def _load_dataset(path: str) -> Dataset:
+    """The dataset at ``path``, checked: its hash binds the config, not the
+    file's contents, so equal-length times, latent states and observations,
+    valid observation times and finite observations are checked here."""
     try:
         with open(path) as f:
             raw = json.load(f)
-        if raw.get("schema") != "rwpf-dataset-v1":
+        if not isinstance(raw, dict) or raw.get("schema") != "rwpf-dataset-v1":
             raise ConfigError(f"{path}: not an rwpf dataset file")
-        return Dataset.from_dict(raw)
+        ds = Dataset.from_dict(raw)
+        if not len(ds.times) == len(ds.latent) == len(ds.observations):
+            raise ValueError("times, latent and observations differ in length")
+        if not all(map(math.isfinite, ds.times + ds.observations)):
+            raise ValueError("times and observations must be finite")
+        smc.check_observation_times(ds.times)
+        return ds
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
@@ -92,6 +101,9 @@ def _cmd_filter(args) -> None:
             f"hashing to {ds.config_hash[:12]}..., this config hashes to "
             f"{cfg.dataset_hash()[:12]}..."
         )
+    if ds.times != cfg.observation_times:
+        raise ConfigError(f"dataset {args.data}: times differ from the config's "
+                          "observation_times")
     model = cfg.build_model()
     if cfg.noise_sd <= 0:
         raise ConfigError("noise_sd: filtering requires strictly positive noise")

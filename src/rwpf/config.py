@@ -151,6 +151,9 @@ def _obs_times(raw: dict) -> tuple[float, ...]:
         if None in times:
             raise ConfigError(f"observation_times[{times.index(None)}]: expected a number")
     elif isinstance(given, dict):
+        unknown = sorted(set(given) - {"count", "spacing"})
+        if unknown:
+            raise ConfigError(f"observation_times: unknown fields {unknown}")
         count, spacing = given.get("count"), given.get("spacing")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError("observation_times.count: expected positive integer")

@@ -135,11 +135,12 @@ def generate_base(dimension: int, count: int) -> PointSet:
 
 
 def apply_digital_shift(base: PointSet, shifts: np.ndarray) -> PointSet:
-    """XOR every point with one 53-bit shift integer per coordinate."""
+    """XOR every point with one 53-bit shift integer per coordinate; g rows
+    of shifts, shape (g, d), give g shifted sets stacked as (g, M, d)."""
     shifts = np.asarray(shifts, dtype=np.uint64)
-    if shifts.shape != (base.dimension,):
-        raise ValueError(f"need {base.dimension} shifts, got shape {shifts.shape}")
-    ipoints = base.ipoints ^ shifts[None, :]
+    if shifts.ndim not in (1, 2) or shifts.shape[-1] != base.dimension:
+        raise ValueError(f"need {base.dimension} shifts per set, got shape {shifts.shape}")
+    ipoints = base.ipoints ^ shifts[..., None, :]
     return PointSet(base.dimension, base.count, _to_floats(ipoints),
                     SCHEME_DIGITAL_SHIFT, base.seed, ipoints)
 

@@ -11,11 +11,10 @@ proposal modes cover the two ways of placing the tilt:
   kernel's normalizing constant in closed form, so this mode requires
   the ``tilted_normalizer`` capability.
 
-``propose`` moves every particle at once: particle i starts at x_a[i]
-and draws from its own stream ``rngs[i]``, the draws a one-particle
-proposal would make on that stream. The landing points and log weight
-factors come back as arrays; the tilted kernel is sampled stream by
-stream through ``sample_tilted``.
+``propose`` moves every particle at once, drawing from the cloud's one
+stream: the Gaussian kernel takes one array of N standard normals, the
+tilted kernel calls ``sample_tilted`` particle by particle on that
+stream. The landing points and log weight factors come back as arrays.
 """
 
 import math
@@ -80,16 +79,15 @@ def sample_tilted(model: DriftModel, x_a: float, a: float, b: float,
     )
 
 
-def propose(model: DriftModel, x_a, a: float, b: float, rngs,
+def propose(model: DriftModel, x_a, a: float, b: float, rng,
             mode: str) -> ProposalOutcome:
-    """Move particle i from (a, x_a[i]) to time b, drawing from ``rngs[i]``."""
+    """Move particle i from (a, x_a[i]) to time b, every draw from ``rng``."""
     t = b - a
     if t <= 0:
         raise ValueError(f"need b > a, got ({a}, {b})")
     x_a = np.asarray(x_a, dtype=np.float64)
     if mode == MODE_GAUSSIAN:
-        z = np.fromiter((rng.normal() for rng in rngs), np.float64, len(rngs))
-        x_b = x_a + math.sqrt(t) * z
+        x_b = x_a + math.sqrt(t) * rng.standard_normal(len(x_a))
         return ProposalOutcome(x_b, model.big_a(x_b) - model.big_a(x_a), 0, mode)
     if mode != MODE_TILTED:
         raise ValueError(f"unknown proposal mode {mode!r}")
@@ -98,7 +96,6 @@ def propose(model: DriftModel, x_a, a: float, b: float, rngs,
             f"model {model.name!r} lacks the tilted_normalizer capability; "
             "its tilted kernel cannot be used for weighting (use gaussian mode)"
         )
-    x_b, n_rej, tags = zip(*(sample_tilted(model, x, a, b, rng)
-                             for x, rng in zip(x_a.tolist(), rngs)))
+    x_b, n_rej, tags = zip(*(sample_tilted(model, x, a, b, rng) for x in x_a.tolist()))
     log_norm = np.zeros(len(x_a)) + model.tilted_log_normalizer(x_a, t)
     return ProposalOutcome(np.array(x_b), log_norm, sum(n_rej), tags[0])

@@ -34,13 +34,14 @@ There are three entry points. ``estimate`` draws kappa itself and
 benchmark offers the same kappa to every mode); both run the kernel on a
 batch of one, return scalar fields and write the fresh points of the
 shared path into the caller's ``LazyBridge``. ``estimate_cloud`` does
-``estimate``'s work for a whole particle cloud: it groups the particles
-by kappa, makes the same draws on each particle's stream, and returns
-one estimate whose fields are arrays over the cloud. kappa is always
-pseudo-random, never taken from the point set. Above the configured
-kappa cap the point-set modes fall back to plain MC (tagged
-``mc-fallback``), reflecting that the point-set route only pays off when
-kappa is small.
+``estimate``'s work for a whole particle cloud on one stream: the N
+kappas are one Poisson draw, and each kappa group takes its uniforms,
+or its digital shifts, as one array draw (Owen scrambling still seeds
+one point set per bridge); it returns one estimate whose fields are
+arrays over the cloud. kappa is always pseudo-random, never taken from
+the point set. Above the configured kappa cap the point-set modes fall
+back to plain MC (tagged ``mc-fallback``), reflecting that the point-set
+route only pays off when kappa is small.
 """
 
 import math
@@ -97,8 +98,8 @@ class PsiEstimate:
     n_time_collisions: int = 0
 
 
-def sample_kappa(rate_interval: tuple[float, float], a: float, b: float, rng) -> int:
-    """Poisson((U - L) * (b - a)) draw; zero surely when U == L."""
+def sample_kappa(rate_interval: tuple[float, float], a: float, b: float, rng, shape=None):
+    """Poisson((U - L) * (b - a)): an int, or an array of ``shape``; 0 when U == L."""
     lo, hi = rate_interval
     if hi < lo:
         raise ValueError(f"need U >= L, got ({lo}, {hi})")
@@ -106,20 +107,20 @@ def sample_kappa(rate_interval: tuple[float, float], a: float, b: float, rng) ->
         raise ValueError(f"need b > a, got ({a}, {b})")
     rate = (hi - lo) * (b - a)
     if rate == 0.0:
-        return 0
+        return 0 if shape is None else np.zeros(shape, np.int64)
     try:
-        return int(rng.poisson(rate))
+        kappa = rng.poisson(rate, shape)
     except ValueError:   # numpy refuses a rate near 2^63 or above
         raise NumericError(
             f"kappa rate (U-L)(b-a)={rate} is too large to sample on a gap of b-a={b - a}"
         ) from None
+    return int(kappa) if shape is None else kappa
 
 
-def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rngs) -> np.ndarray:
-    """One freshly randomized point set per stream, stacked as (len(rngs), M, d).
-
-    Each stream gives one ``fresh_seed`` draw; the base net of dimension
-    d (kappa, or 2 * kappa with values) is shared.
+def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rng, g: int) -> np.ndarray:
+    """g freshly randomized copies of the shared base net of dimension d
+    (kappa, or 2 * kappa with values), stacked as (g, M, d): one (g, d)
+    draw of digital shifts, or one ``fresh_seed`` per Owen-scrambled set.
     """
     dim = kappa if mode == MODE_RQMC_TIMES else 2 * kappa
     if dim > lowdisc.MAX_DIMENSION:
@@ -128,30 +129,31 @@ def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rngs) -> np.ndarray:
             f"above the supported {lowdisc.MAX_DIMENSION}; lower rqmc_kappa_cap"
         )
     base = lowdisc.generate_base(dim, cfg.inner_points)
-    return np.array([
-        lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
-        for rng in rngs
-    ])
+    if cfg.randomization == lowdisc.SCHEME_OWEN:
+        return np.array([lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
+                         for _ in range(g)])
+    shifts = rng.integers(0, 2**lowdisc.N_BITS, size=(g, dim), dtype=np.uint64)
+    return lowdisc.apply_digital_shift(base, shifts).points
 
 
-def _uniforms(mode: str, kappa: int, cfg: PsiConfig, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Time and value uniforms, each (len(rngs), M * kappa) with point m's
-    kappa entries at [m * kappa, (m + 1) * kappa)."""
-    g, n = len(rngs), cfg.inner_points * kappa
+def _uniforms(mode: str, kappa: int, cfg: PsiConfig, rng, g: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Time and value uniforms, each (g, M * kappa) with point m's kappa
+    entries at [m * kappa, (m + 1) * kappa)."""
+    n = cfg.inner_points * kappa
     if mode == MODE_RQMC_TIMES_VALUES:
-        points = _point_sets(mode, kappa, cfg, rngs)
+        points = _point_sets(mode, kappa, cfg, rng, g)
         return points[..., :kappa].reshape(g, n), points[..., kappa:].reshape(g, n)
     if mode == MODE_RQMC_TIMES:
-        times = _point_sets(mode, kappa, cfg, rngs).reshape(g, n)
-        return times, np.array([rng.random(n) for rng in rngs])
-    draws = np.array([rng.random(2 * n) for rng in rngs])
+        return _point_sets(mode, kappa, cfg, rng, g).reshape(g, n), rng.random((g, n))
+    draws = rng.random((g, 2 * n))
     return draws[:, :n], draws[:, n:]
 
 
 def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarray,
-           cfg: PsiConfig, rngs, kappa: int):
+           cfg: PsiConfig, rng, kappa: int):
     """The estimator body: estimates for the bridges from (a, x_a[i]) to
-    (b, x_b[i]) at one kappa, bridge i drawing from ``rngs[i]``.
+    (b, x_b[i]) at one kappa, all drawing from ``rng``.
 
     Returns the mode run, the values, bridge queries and time collisions
     as arrays over the bridges, and, when kappa > 0, the paths as arrays
@@ -177,14 +179,14 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
             f"weight factor e^(-L(b-a)) overflows for model {model.name!r} "
             f"on a gap of b-a={span} (L={lo})"
         ) from None
-    mode, g, m = cfg.mode, len(rngs), cfg.inner_points
+    mode, g, m = cfg.mode, len(x_a), cfg.inner_points
     if kappa == 0:
         zeros = np.zeros(g, dtype=np.int64)
         return mode, np.full(g, base), zeros, zeros, None
     if mode != MODE_MC and kappa > cfg.rqmc_kappa_cap:
         mode = MODE_MC_FALLBACK
 
-    u_time, u_val = _uniforms(mode, kappa, cfg, rngs)
+    u_time, u_val = _uniforms(mode, kappa, cfg, rng, g)
     shared = mode != MODE_RQMC_TIMES_VALUES
     width = m * kappa if shared else kappa     # times per path
     order = np.lexsort((u_val.reshape(-1, width), u_time.reshape(-1, width)), axis=-1)
@@ -240,7 +242,7 @@ def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
             f"psi needs a two-point skeleton, got {len(bridge)} points"
         )
     mode, *fields, path = _group(model, bridge.a, bridge.b, np.array([bridge.x_a]),
-                                 np.array([bridge.x_b]), cfg, [rng], kappa)
+                                 np.array([bridge.x_b]), cfg, rng, kappa)
     if kappa and mode != MODE_RQMC_TIMES_VALUES:
         times, w, fresh = path
         bridge.insert_path(times[0, fresh[0]].tolist(), w[0, fresh[0]].tolist())
@@ -269,24 +271,23 @@ def estimate_with_kappa(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig,
 
 
 def estimate_cloud(model: DriftModel, a: float, b: float, x_a, x_b,
-                   cfg: PsiConfig, rngs) -> PsiEstimate:
-    """Estimates for a cloud: bridge i runs from (a, x_a[i]) to (b, x_b[i])
-    and draws from ``rngs[i]``; every field is an array over the bridges.
+                   cfg: PsiConfig, rng) -> PsiEstimate:
+    """Estimates for a cloud: bridge i runs from (a, x_a[i]) to (b, x_b[i]);
+    every field is an array over the bridges.
 
-    Each stream sees the draws ``estimate`` would make on it, in the same
-    order: every kappa first, then one body call per distinct kappa, in
-    order of first appearance, so a dimension error names the kappa a
-    per-particle loop would have stopped at.
+    Draws from ``rng`` in this order: every kappa as one array, then one
+    body call per distinct kappa, in order of first appearance, so a
+    dimension error names the kappa of the first particle whose point set
+    is too large.
     """
     x_a, x_b = np.asarray(x_a, dtype=np.float64), np.asarray(x_b, dtype=np.float64)
-    n = len(rngs)
-    kappa = np.fromiter((sample_kappa(model.phi_bounds, a, b, rng) for rng in rngs),
-                        np.int64, n)
+    n = len(x_a)
+    kappa = sample_kappa(model.phi_bounds, a, b, rng, n)
     out = PsiEstimate(np.empty(n), kappa, np.full(n, cfg.mode, dtype=object),
                       np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
     for k in dict.fromkeys(kappa.tolist()):
         idx = np.flatnonzero(kappa == k)
         (out.mode[idx], out.value[idx], out.n_bridge_queries[idx],
          out.n_time_collisions[idx], _) = _group(
-            model, a, b, x_a[idx], x_b[idx], cfg, [rngs[i] for i in idx], k)
+            model, a, b, x_a[idx], x_b[idx], cfg, rng, k)
     return out

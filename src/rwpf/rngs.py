@@ -3,7 +3,8 @@
 Every stochastic component takes an explicit ``numpy.random.Generator``.
 Streams are derived from a master seed plus a small integer key path, so
 results depend only on (config, master seed) and never on execution
-order or worker count.
+order or worker count. A particle cloud draws from two streams, whatever
+its size: one for its moves and weights, one for resampling.
 """
 
 import numpy as np

@@ -10,9 +10,10 @@ the targeted distributions are unchanged.
 
 A step is array work over the whole cloud: one proposal call, one psi
 call and the weights as one array expression. Weights live in log space
-throughout. Each particle owns an independent random stream derived from
-the master seed, and resampling uses a dedicated stream, so results
-depend only on (config, master seed).
+throughout. The cloud draws its moves and weights from one stream, each
+draw one array over the particles, and resampling from a second; both
+derive from the master seed, so results depend only on (config, master
+seed).
 """
 
 import dataclasses
@@ -42,7 +43,7 @@ def check_observation_times(times) -> None:
 class ParticleCloud:
     positions: np.ndarray          # (N,) float64
     log_weights: np.ndarray        # (N,) unnormalized
-    rng_streams: list              # one Generator per particle slot
+    rng: np.random.Generator       # moves and weights of the whole cloud
     resample_rng: np.random.Generator
     step_index: int = 0
 
@@ -85,16 +86,12 @@ class FilterConfig:
 
 
 def init_cloud(n: int, x0: float, master_seed: int) -> ParticleCloud:
-    """All particles at x0 with uniform weights and split random streams."""
+    """All particles at x0 with uniform weights, a stream for the cloud's
+    moves and weights and one for resampling."""
     if n < 1:
         raise ValueError("need at least one particle")
-    streams = particle_streams(master_seed, n + 1, NS_FILTER)
-    return ParticleCloud(
-        positions=np.full(n, float(x0)),
-        log_weights=np.zeros(n),
-        rng_streams=streams[:n],
-        resample_rng=streams[n],
-    )
+    rng, resample_rng = particle_streams(master_seed, 2, NS_FILTER)
+    return ParticleCloud(np.full(n, float(x0)), np.zeros(n), rng, resample_rng)
 
 
 def ess(log_weights: np.ndarray) -> float:
@@ -128,11 +125,9 @@ def multinomial_indices(weights: np.ndarray, rng) -> np.ndarray:
 
 
 def resample(cloud: ParticleCloud, scheme: str, rng) -> ParticleCloud:
-    """Draw N offspring and reset weights to uniform.
-
-    Random streams stay attached to particle slots, not ancestors, so
-    duplicated offspring evolve independently afterwards.
-    """
+    """Draw N offspring and reset weights to uniform. Offspring of one
+    ancestor take separate entries of every later array draw, so they
+    evolve independently afterwards."""
     w = _normalized(cloud.log_weights)
     if scheme == "multinomial":
         idx = multinomial_indices(w, rng)
@@ -159,11 +154,9 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
         raise ValueError(f"interval ({a}, {b}) inconsistent with obs time {t_obs}")
     var_obs = sigma * sigma
 
-    moved = proposal.propose(model, cloud.positions, a, b, cloud.rng_streams,
-                             proposal_mode)
+    moved = proposal.propose(model, cloud.positions, a, b, cloud.rng, proposal_mode)
     new_pos = moved.x_b
-    est = psi.estimate_cloud(model, a, b, cloud.positions, new_pos, psi_cfg,
-                             cloud.rng_streams)
+    est = psi.estimate_cloud(model, a, b, cloud.positions, new_pos, psi_cfg, cloud.rng)
     with np.errstate(divide="ignore"):
         log_psi = np.log(est.value)
     incr = moved.log_weight_factor + log_psi + norm_logpdf(y, new_pos, var_obs)
@@ -183,8 +176,8 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
     post_var = float(np.dot(w, (new_pos - post_mean) ** 2))
     ess_val = ess(new_lw)
 
-    new_cloud = ParticleCloud(new_pos, new_lw, cloud.rng_streams,
-                              cloud.resample_rng, cloud.step_index + 1)
+    new_cloud = ParticleCloud(new_pos, new_lw, cloud.rng, cloud.resample_rng,
+                              cloud.step_index + 1)
     resampled = ess_val < ess_threshold * cloud.n and cloud.n > 1
     if resampled:
         new_cloud = resample(new_cloud, resample_scheme, new_cloud.resample_rng)

@@ -89,6 +89,46 @@ def test_filter_dataset_hash_mismatch_exits_2(tmp_path):
     assert "mismatch" in r.stderr
 
 
+def _edited(ds, **lists):
+    return {**ds, **{key: edit(ds[key]) for key, edit in lists.items()}}
+
+
+_DATASET_EDITS = {
+    "not-an-object": lambda ds: [],
+    "reversed-times": lambda ds: _edited(ds, times=lambda v: v[::-1]),
+    "dropped-observation": lambda ds: _edited(ds, observations=lambda v: v[:-1]),
+    "nan-observation": lambda ds: _edited(ds, observations=lambda v: [math.nan, *v[1:]]),
+    # consistent in itself, but not the config's observation times
+    "last-step-dropped": lambda ds: _edited(ds, **dict.fromkeys(
+        ("times", "latent", "observations"), lambda v: v[:-1])),
+}
+
+
+@pytest.mark.parametrize("command", ["filter", "kalman", "grid-filter"])
+@pytest.mark.parametrize("edit", list(_DATASET_EDITS))
+def test_bad_dataset_exits_2(tmp_path, command, edit):
+    # the dataset hash binds the config, not the file, so a hand-edited
+    # file that keeps its hash is checked on load
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    _run("simulate", "--config", str(cfg), "--out", str(out))
+    path = out / "dataset.json"
+    path.write_text(json.dumps(_DATASET_EDITS[edit](json.loads(path.read_text()))))
+    if command == "filter":
+        r = _run("filter", "--config", str(cfg), "--data", str(path), "--out", str(out))
+    else:
+        oracle = {"kind": command, "dataset": str(path)}
+        if command == "grid-filter":
+            oracle["grid"] = {"lo": -8.0, "hi": 8.0, "n_cells": 256}
+        cfg = _write_config(tmp_path / "oracle.json", extra={"oracle": oracle})
+        r = _run("oracle", "--config", str(cfg), "--out", str(out))
+    if command != "filter" and edit == "last-step-dropped":
+        assert r.returncode == 0, r.stderr   # only filter binds the config's times
+    else:
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
+
+
 def test_seed_override_changes_outputs(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -92,6 +92,7 @@ def test_rqmc_mode_alias_selects_default_layout():
     (dict(oracle={k: v for k, v in _ORACLE.items() if k != "x_a"}), "oracle.x_a"),
     (dict(oracle={"kind": "grid-filter", "dataset": "d.json",
                   "grid": {"lo": 0.0, "hi": 1.0, "n_cells": True}}), "oracle.grid.n_cells"),
+    (dict(observation_times={"count": 3, "spacing": 0.5, "start": 10.0}), "observation_times"),
 ])
 def test_parse_field_errors(mutation, fragment):
     raw = _base_config()

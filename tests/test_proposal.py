@@ -20,7 +20,7 @@ def norm_pdf(x, mean, var):
 
 def _propose_one(model, x_a, a, b, rng, mode):
     """``propose`` on a cloud of one particle, with scalar fields."""
-    out = proposal.propose(model, [x_a], a, b, [rng], mode)
+    out = proposal.propose(model, [x_a], a, b, rng, mode)
     [x_b], [lwf] = out.x_b.tolist(), out.log_weight_factor.tolist()
     return dataclasses.replace(out, x_b=x_b, log_weight_factor=lwf)
 
@@ -50,8 +50,8 @@ def test_gaussian_moments():
     zero = builtin("zero")
     rng = stream(3, 0)
     n = 100_000
-    # one stream serves every particle: the draws of n one-particle calls
-    draws = proposal.propose(zero, np.full(n, 2.0), 0.0, 0.5, [rng] * n, "gaussian").x_b
+    # the cloud's one stream: n normals in one array draw
+    draws = proposal.propose(zero, np.full(n, 2.0), 0.0, 0.5, rng, "gaussian").x_b
     se_mean = math.sqrt(0.5 / n)
     assert abs(draws.mean() - 2.0) < 4 * se_mean
     var = draws.var(ddof=1)
@@ -74,7 +74,7 @@ def test_tilted_tanh_density():
     tanh = builtin("tanh")
     rng = stream(5, 0)
     n = 100_000
-    draws = proposal.propose(tanh, np.zeros(n), 0.0, 1.0, [rng] * n, "tilted").x_b
+    draws = proposal.propose(tanh, np.zeros(n), 0.0, 1.0, rng, "tilted").x_b
     edges = np.linspace(-4.0, 4.0, 41)
     counts, _ = np.histogram(draws, bins=edges)
     width = edges[1] - edges[0]
@@ -97,7 +97,7 @@ def test_tilted_zero_is_gaussian():
 def test_tilted_sine_unsupported_for_weighting():
     sine = builtin("sine")
     with pytest.raises(UnsupportedOperationError):
-        proposal.propose(sine, [0.0], 0.0, 1.0, [stream(7, 0)], "tilted")
+        proposal.propose(sine, [0.0], 0.0, 1.0, stream(7, 0), "tilted")
 
 
 def test_sine_rejection_sampler_against_quadrature():
@@ -206,35 +206,38 @@ def test_rejection_trial_cap_surfaces_as_error(monkeypatch):
 def test_unknown_mode_and_bad_interval():
     zero = builtin("zero")
     with pytest.raises(ValueError):
-        proposal.propose(zero, [0.0], 0.0, 1.0, [stream(13, 0)], "laplace")
+        proposal.propose(zero, [0.0], 0.0, 1.0, stream(13, 0), "laplace")
     with pytest.raises(ValueError):
-        proposal.propose(zero, [0.0], 1.0, 1.0, [stream(13, 1)], "gaussian")
+        proposal.propose(zero, [0.0], 1.0, 1.0, stream(13, 1), "gaussian")
 
 
 @pytest.mark.parametrize("name,mode", [
     ("sine", "gaussian"), ("tanh", "gaussian"), ("tanh", "tilted"), ("zero", "tilted"),
-    ("sine-with-normalizer", "tilted"),   # the rejection sampler, stream by stream
+    ("sine-with-normalizer", "tilted"),   # the rejection sampler, particle by particle
 ])
 def test_cloud_propose_matches_per_stream_loop(name, mode):
+    # the reference on a twin stream: x_a + sqrt(t) z with z one array of
+    # normals, or a sequential sample_tilted loop
     if name == "sine-with-normalizer":
         model = dataclasses.replace(builtin("sine"), tilted_log_normalizer=lambda x_a, t: 0.25)
     else:
         model = builtin(name)
     n, a, b = 64, 0.5, 1.75
     x_a = np.linspace(-3.0, 3.0, n)
-    cloud_rngs, loop_rngs = ([stream(30, i) for i in range(n)] for _ in range(2))
-    out = proposal.propose(model, x_a, a, b, cloud_rngs, mode)
+    cloud_rng, loop_rng = stream(30, 0), stream(30, 0)
+    out = proposal.propose(model, x_a, a, b, cloud_rng, mode)
     assert out.x_b.shape == out.log_weight_factor.shape == (n,)
     rejections = 0
-    for i, (x, rng) in enumerate(zip(x_a.tolist(), loop_rngs)):
+    z = loop_rng.standard_normal(n) if mode == "gaussian" else None
+    for i, x in enumerate(x_a.tolist()):
         if mode == "gaussian":
-            x_b = x + math.sqrt(b - a) * rng.normal()
+            x_b = x + math.sqrt(b - a) * z[i]
             lwf = float(model.big_a(x_b) - model.big_a(x))
         else:
-            x_b, n_rej, _ = proposal.sample_tilted(model, x, a, b, rng)
+            x_b, n_rej, _ = proposal.sample_tilted(model, x, a, b, loop_rng)
             lwf = float(model.tilted_log_normalizer(x, b - a))
             rejections += n_rej
         assert (out.x_b[i], out.log_weight_factor[i]) == (x_b, lwf), i
     assert type(out.n_rejections) is int and out.n_rejections == rejections
     assert (rejections > 0) == (name == "sine-with-normalizer")
-    assert [r.random() for r in cloud_rngs] == [r.random() for r in loop_rngs]
+    assert cloud_rng.random() == loop_rng.random()

@@ -146,13 +146,7 @@ def test_times_values_dimension_cap():
 def test_times_values_collision_perturbation(monkeypatch):
     # force duplicate coordinates so the one-ulp perturbation path runs
     sine = builtin("sine")
-    dup = np.full((2, 4), 0.4375)
-
-    def fake_randomize(base, scheme, seed):
-        return lowdisc.PointSet(base.dimension, base.count, dup[:, :base.dimension],
-                                scheme, seed, lowdisc.shift_from_floats(dup))
-
-    monkeypatch.setattr(psi.lowdisc, "randomize", fake_randomize)
+    _fixed_points(monkeypatch, np.full((2, 4), 0.4375))
     cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=2)
     est = psi.estimate_with_kappa(sine, LazyBridge(0.0, 0.0, 1.0, 0.0), cfg,
                                   stream(9, 1), 2)
@@ -216,16 +210,25 @@ def test_mode_dispatch_guards():
                                 psi.PsiConfig(mode="mc"), rng, -1)
 
 
-def _reference_times_values(model, bridge, cfg, rng, kappa):
-    """rqmc-times-values on the LazyBridge: sorted (time, value) pairs,
-    value_at_with_uniform, the one-ulp nudge of a time already in the
-    skeleton, and a rollback after every point. Returns
-    (value, n_time_collisions, n_bridge_queries)."""
+def _drawn_points(cfg, dim, rng):
+    """The randomized point set an estimate on a batch of one draws from
+    ``rng``: a row of 53-bit digital shifts XORed into the base net, or an
+    Owen scramble seeded by one ``fresh_seed``."""
+    base = lowdisc.generate_base(dim, cfg.inner_points)
+    if cfg.randomization == "owen-scramble":
+        return lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
+    shifts = rng.integers(0, 2**53, size=dim, dtype=np.uint64)
+    return (base.ipoints ^ shifts).astype(np.float64) / 2.0**53
+
+
+def _reference_times_values(model, bridge, cfg, points, kappa):
+    """rqmc-times-values on the LazyBridge over the (M, 2 * kappa) points:
+    sorted (time, value) pairs, value_at_with_uniform, the one-ulp nudge of
+    a time already in the skeleton, and a rollback after every point.
+    Returns (value, n_time_collisions, n_bridge_queries)."""
     lo, hi = model.phi_bounds
     a, b = bridge.a, bridge.b
     span = b - a
-    base = lowdisc.generate_base(2 * kappa, cfg.inner_points)
-    points = lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
     snap = bridge.snapshot()
     before = bridge.total_inserted
     acc, collisions = 0.0, 0
@@ -275,25 +278,24 @@ def test_times_values_kernel_matches_bridge_reference(model, scheme):
                 r1, r2 = stream(15, kappa, m, rep), stream(15, kappa, m, rep)
                 est = psi.estimate_with_kappa(model, LazyBridge(0.5, x_a, 2.0, x_b),
                                               cfg, r1, kappa)
-                ref = _reference_times_values(model, LazyBridge(0.5, x_a, 2.0, x_b),
-                                              cfg, r2, kappa)
+                ref = _reference_times_values(model, LazyBridge(0.5, x_a, 2.0, x_b), cfg,
+                                              _drawn_points(cfg, 2 * kappa, r2), kappa)
                 _assert_matches_reference(model, est, ref, kappa, 1.5)
                 assert r1.random() == r2.random()  # same draws from the stream
 
 
 def _fixed_points(monkeypatch, rows):
-    """Make every randomized point set of the rows' shape (M, 2 * kappa)
-    those rows."""
+    """Make every randomized point set of the rows' shape (M, d) those rows,
+    after the draws that randomize it; returns the rows as an array."""
     pts = np.array(rows, dtype=np.float64)
-    randomize = lowdisc.randomize
+    point_sets = psi._point_sets
 
-    def fake_randomize(base, scheme, seed):
-        if pts.shape != (base.count, base.dimension):
-            return randomize(base, scheme, seed)
-        return lowdisc.PointSet(base.dimension, base.count, pts, scheme, seed,
-                                lowdisc.shift_from_floats(pts))
+    def fixed(mode, kappa, cfg, rng, g):
+        sets = point_sets(mode, kappa, cfg, rng, g)
+        return np.broadcast_to(pts, sets.shape) if sets.shape[1:] == pts.shape else sets
 
-    monkeypatch.setattr(psi.lowdisc, "randomize", fake_randomize)
+    monkeypatch.setattr(psi, "_point_sets", fixed)
+    return pts
 
 
 @pytest.mark.parametrize("a,b,rows", [
@@ -309,37 +311,36 @@ def _fixed_points(monkeypatch, rows):
                   [0.5, 0.125, 0.5, 0.3, 0.3, 0.3]]),
 ])
 def test_times_values_forced_collisions_match_reference(monkeypatch, a, b, rows):
-    _fixed_points(monkeypatch, rows)
+    pts = _fixed_points(monkeypatch, rows)
     for model in (builtin("sine"), builtin("scaled-sine", theta=1.7)):
         cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=2)
         est = psi.estimate_with_kappa(model, LazyBridge(a, 0.2, b, -0.4), cfg,
                                       stream(16, 1), 3)
-        ref = _reference_times_values(model, LazyBridge(a, 0.2, b, -0.4), cfg,
-                                      stream(16, 1), 3)
+        ref = _reference_times_values(model, LazyBridge(a, 0.2, b, -0.4), cfg, pts, 3)
         assert ref[1] >= 2
         _assert_matches_reference(model, est, ref, 3, b - a)
         # the same points for a cloud of bridges through estimate_cloud
         n = 64
         x_a, x_b = np.linspace(-2.0, 2.0, n), np.cos(np.arange(n))
         cloud = _unstacked(psi.estimate_cloud(model, a, b, x_a, x_b, cfg,
-                                              [stream(17, 1, i) for i in range(n)]))
+                                              stream(17, 1)))
         hit = [i for i, e in enumerate(cloud) if e.kappa == 3]  # the rows' kappa
         assert len(hit) >= 2
         for i in hit:
             ref = _reference_times_values(model, LazyBridge(a, x_a[i], b, x_b[i]),
-                                          cfg, stream(17, 1, i), 3)
+                                          cfg, pts, 3)
             assert cloud[i].n_time_collisions == ref[1] >= 2
             assert _close(model, cloud[i].value, ref[0], b - a)
 
 
 def test_times_values_collision_past_the_end_is_numeric_failure(monkeypatch):
     top = np.nextafter(1.0, 0.0)  # largest uniform below 1: t lands just below b
-    _fixed_points(monkeypatch, [[top, top, 0.5, 0.5]])
+    pts = _fixed_points(monkeypatch, [[top, top, 0.5, 0.5]])
     cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=1)
-    for estimate in (psi.estimate_with_kappa, _reference_times_values):
+    for estimate, draws in ((psi.estimate_with_kappa, stream(18, 1)),
+                            (_reference_times_values, pts)):
         with pytest.raises(NumericError, match="walked past"):
-            estimate(builtin("sine"), LazyBridge(0.0, 0.0, 1.0, 0.0), cfg,
-                     stream(18, 1), 2)
+            estimate(builtin("sine"), LazyBridge(0.0, 0.0, 1.0, 0.0), cfg, draws, 2)
 
 
 def test_times_values_needs_a_two_point_skeleton():
@@ -360,12 +361,13 @@ class _Draws:
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
 
-    def random(self, n):
+    def random(self, shape):
+        n = int(np.prod(shape))
         out, self.uniforms = self.uniforms[:n], self.uniforms[n:]
-        return np.array(out)
+        return np.reshape(out, shape)
 
-    def integers(self, lo, hi):  # fresh_seed; the fixed point sets ignore it
-        return 0
+    def integers(self, lo, hi, size, dtype):  # shifts; the fixed point sets ignore them
+        return np.zeros(size, dtype)
 
 
 def _reference_shared(model, bridge, cfg, kappa, u_time, u_val):
@@ -396,16 +398,14 @@ def _shared_uniforms(cfg, kappa, rng):
     if cfg.mode == "mc":
         draws = rng.random(2 * n).tolist()
         return draws[:n], draws[n:]
-    base = lowdisc.generate_base(kappa, cfg.inner_points)
-    times = lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
+    times = _drawn_points(cfg, kappa, rng)
     return times.reshape(-1).tolist(), rng.random(n).tolist()
 
 
-def _assert_shared_matches_reference(model, cfg, kappa, a, b, x_a, x_b, rng, ref_rng):
+def _assert_shared_matches_reference(model, cfg, kappa, a, b, x_a, x_b, rng, ref_uniforms):
     br, ref_br = LazyBridge(a, x_a, b, x_b), LazyBridge(a, x_a, b, x_b)
     est = psi.estimate_with_kappa(model, br, cfg, rng, kappa)
-    ref = _reference_shared(model, ref_br, cfg, kappa,
-                            *_shared_uniforms(cfg, kappa, ref_rng))
+    ref = _reference_shared(model, ref_br, cfg, kappa, *ref_uniforms)
     assert (est.kappa, est.mode, est.n_time_collisions) == (kappa, cfg.mode, 0)
     assert est.n_bridge_queries == ref_br.total_inserted == br.total_inserted
     assert [t for t, _ in br.skeleton()] == [t for t, _ in ref_br.skeleton()]
@@ -428,7 +428,8 @@ def test_shared_path_kernel_matches_bridge_reference(model, cfg):
         for rep in range(3):
             r1, r2 = stream(21, kappa, rep), stream(21, kappa, rep)
             _assert_shared_matches_reference(model, cfg, kappa, 0.5, 2.0,
-                                             0.4 * rep - 0.3, 1.1 - 0.7 * rep, r1, r2)
+                                             0.4 * rep - 0.3, 1.1 - 0.7 * rep, r1,
+                                             _shared_uniforms(cfg, kappa, r2))
             assert r1.random() == r2.random()  # same draws from the stream
 
 
@@ -443,7 +444,7 @@ def test_shared_path_forced_duplicates_and_endpoints(monkeypatch, mode):
     draws = u_time + u_val if mode == "mc" else u_val
     sine = builtin("sine")
     est = _assert_shared_matches_reference(sine, cfg, 2, 40.0, 41.0, 0.2, -0.4,
-                                           _Draws(draws), _Draws(draws))
+                                           _Draws(draws), (u_time, u_val))
     assert est.n_bridge_queries == 2  # 0.25 and 0.7; the rest are known
 
 
@@ -468,10 +469,24 @@ def test_long_gap_overflow_is_numeric_failure():
             psi.estimate(sine, LazyBridge(0.0, 0.0, 1500.0, 0.0), cfg, stream(23, 0))
         with pytest.raises(NumericError, match="gap of b-a=1500"):
             psi.estimate_cloud(sine, 0.0, 1500.0, [0.0, 1.0], [0.0, -1.0], cfg,
-                               [stream(23, 1), stream(23, 2)])
+                               stream(23, 1))
     # a rate past numpy's Poisson range fails typed, naming the gap
     with pytest.raises(NumericError, match="gap of b-a=1e"):
         psi.sample_kappa(sine.phi_bounds, 0.0, 1e19, stream(23, 3))
+
+
+class _Replay:
+    """A stream stand-in that hands one bridge its share of a kappa group's
+    draws, in the order an estimate on a batch of one asks for them."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, shape):
+        return np.reshape(self.draws.pop(0), shape)
+
+    def integers(self, lo, hi, size=None, dtype=None):
+        return np.reshape(self.draws.pop(0), () if size is None else size)
 
 
 @pytest.mark.parametrize("mode", psi.MODES)
@@ -484,13 +499,29 @@ def test_estimate_cloud_matches_per_particle_estimates(mode, scheme):
     n = 64
     x_a = np.linspace(-2.0, 2.0, n)
     x_b = np.cos(np.arange(n))
-    cloud_rngs = [stream(20, i) for i in range(n)]
-    loop_rngs = [stream(20, i) for i in range(n)]
-    cloud = _unstacked(psi.estimate_cloud(sine, 1.0, 3.0, x_a, x_b, cfg, cloud_rngs))
-    ests = [psi.estimate(sine, LazyBridge(1.0, x_a[i], 3.0, x_b[i]), cfg, loop_rngs[i])
-            for i in range(n)]
+    cloud_rng, twin = stream(20, 0), stream(20, 0)
+    cloud = _unstacked(psi.estimate_cloud(sine, 1.0, 3.0, x_a, x_b, cfg, cloud_rng))
+    # the reference on a twin stream: the kappas as one array, then one
+    # estimate_with_kappa per particle, kappa group by kappa group; a group
+    # that draws each bridge's uniforms as one row of an array draw matches
+    # a loop on the twin draw for draw, and an rqmc-times group draws its
+    # point sets before its value uniforms, so the reference draws them the
+    # same way and hands each bridge its rows
+    kappa = psi.sample_kappa(sine.phi_bounds, 1.0, 3.0, twin, n)
+    ests = [None] * n
+    for k in dict.fromkeys(kappa.tolist()):
+        idx = np.flatnonzero(kappa == k).tolist()
+        rngs = [twin] * len(idx)
+        if mode == "rqmc-times" and 0 < k <= cfg.rqmc_kappa_cap:
+            sets = ([fresh_seed(twin) for _ in idx] if scheme == "owen-scramble" else
+                    twin.integers(0, 2**53, size=(len(idx), k), dtype=np.uint64))
+            values = twin.random((len(idx), cfg.inner_points * k))
+            rngs = [_Replay(s, v) for s, v in zip(sets, values)]
+        for i, rng in zip(idx, rngs):
+            ests[i] = psi.estimate_with_kappa(sine, LazyBridge(1.0, x_a[i], 3.0, x_b[i]),
+                                              cfg, rng, k)
     # batches of one and of many run the same kernel: equal values too
     assert cloud == ests
-    assert [r.random() for r in cloud_rngs] == [r.random() for r in loop_rngs]
+    assert cloud_rng.random() == twin.random()
     if mode != "mc":
         assert 0 < sum(e.mode == "mc-fallback" for e in cloud) < n

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -17,9 +18,13 @@ def test_init_cloud():
     assert cloud.positions.tolist() == [1.5, 1.5, 1.5, 1.5]
     assert np.all(cloud.log_weights == 0.0)
     assert cloud.n == 4 and cloud.step_index == 0
-    again = smc.init_cloud(4, 1.5, 42)
+    # two streams whatever the size: the cloud's and the resampling one
+    again, larger = smc.init_cloud(4, 1.5, 42), smc.init_cloud(4096, 1.5, 42)
     assert all(a.bit_generator.state == b.bit_generator.state
-               for a, b in zip(cloud.rng_streams, again.rng_streams))
+               for other in (again, larger)
+               for a, b in ((cloud.rng, other.rng),
+                            (cloud.resample_rng, other.resample_rng)))
+    assert cloud.rng.bit_generator.state != cloud.resample_rng.bit_generator.state
     smc.init_cloud(1, 0.0, 0)  # degenerate single-particle cloud is valid
     with pytest.raises(ValueError):
         smc.init_cloud(0, 0.0, 0)
@@ -194,8 +199,8 @@ def test_resampling_triggers_and_resets_ess():
 def test_degeneracy_error(monkeypatch):
     zero = builtin("zero")
 
-    def zero_estimates(model, a, b, x_a, x_b, cfg, rngs):
-        n = len(rngs)
+    def zero_estimates(model, a, b, x_a, x_b, cfg, rng):
+        n = len(x_a)
         return psi.PsiEstimate(np.zeros(n), np.zeros(n, dtype=int), np.full(n, "mc"),
                                np.zeros(n, dtype=int))
 
@@ -285,11 +290,19 @@ def test_unvalidated_custom_model_rejected_on_entry(monkeypatch):
     assert calls == []
 
 
-def _per_particle_cloud(model, a, b, x_a, x_b, cfg, rngs):
-    """estimate_cloud as a loop of psi.estimate, one particle at a time."""
-    ests = [psi.estimate(model, LazyBridge(a, float(xa), b, float(xb)), cfg, rng)
-            for xa, xb, rng in zip(x_a, x_b, rngs)]
-    return psi.PsiEstimate(*(np.array([getattr(e, f.name) for e in ests])
+def _per_particle_cloud(model, a, b, x_a, x_b, cfg, rng):
+    """estimate_cloud as a loop of psi.estimate_with_kappa, one particle at a
+    time, in the cloud's draw order: the kappas as one array, then the
+    particles kappa group by kappa group. rqmc-times-values and mc draw
+    each bridge's shifts or uniforms as one row of an array draw, so the
+    loop sees the cloud's draws."""
+    kappa = psi.sample_kappa(model.phi_bounds, a, b, rng, len(x_a))
+    ests = {}
+    for k in dict.fromkeys(kappa.tolist()):
+        for i in np.flatnonzero(kappa == k).tolist():
+            ests[i] = psi.estimate_with_kappa(
+                model, LazyBridge(a, float(x_a[i]), b, float(x_b[i])), cfg, rng, k)
+    return psi.PsiEstimate(*(np.array([getattr(ests[i], f.name) for i in range(len(x_a))])
                              for f in dataclasses.fields(psi.PsiEstimate)))
 
 
@@ -324,3 +337,47 @@ def test_cloud_weights_match_per_particle_loop(monkeypatch, scheme):
         assert (r.time, r.resampled, r.mean_kappa) == (rr.time, rr.resampled, rr.mean_kappa)
         for field in ("ess", "log_likelihood_increment", "posterior_mean", "posterior_var"):
             assert getattr(r, field) == pytest.approx(getattr(rr, field), rel=1e-9)
+
+
+class _CountingRng:
+    """A Generator proxy that counts the calls made to it, by method."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("mode,draw", [("mc", "random"), ("rqmc-times-values", "integers")])
+def test_step_draw_calls_do_not_grow_with_the_cloud(monkeypatch, mode, draw):
+    # one step draws one array of normals, one of kappas, and per distinct
+    # kappa one array of uniforms or of digital shifts, whatever the number
+    # of particles; only the number of distinct kappas varies with N
+    sine = builtin("sine")
+    cfg = psi.PsiConfig(mode=mode, inner_points=4, randomization="digital-shift")
+    estimate_cloud, kappas = psi.estimate_cloud, []
+
+    def recording(*args):
+        est = estimate_cloud(*args)
+        kappas.append(est.kappa)
+        return est
+
+    monkeypatch.setattr(psi, "estimate_cloud", recording)
+    per_step = {}
+    for n in (64, 4096):
+        cloud = smc.init_cloud(n, 0.0, 3)
+        counting = _CountingRng(cloud.rng)
+        smc.step(dataclasses.replace(cloud, rng=counting), sine, (1.0, 0.3, 0.5),
+                 (0.0, 1.0), cfg)
+        groups = len(set(kappas[-1].tolist()) - {0})
+        assert groups > 0
+        assert counting.calls == {"standard_normal": 1, "poisson": 1, draw: groups}, n
+        per_step[n] = sum(counting.calls.values()) - groups
+    assert per_step[64] == per_step[4096] == 2
