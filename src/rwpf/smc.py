@@ -34,9 +34,11 @@ RESAMPLING_SCHEMES = ("multinomial", "systematic", "stratified")
 
 
 def check_observation_times(times) -> None:
-    """Raise ValueError unless times are strictly increasing and > 0."""
-    if any(t <= 0 for t in times[:1]) or any(v <= u for u, v in zip(times, times[1:])):
-        raise ValueError("observation times must be strictly increasing and > 0")
+    """Raise ValueError unless times are finite, strictly increasing and > 0
+    (NaN fails no comparison, so finiteness is checked on its own)."""
+    if (not all(map(math.isfinite, times)) or any(t <= 0 for t in times[:1])
+            or any(v <= u for u, v in zip(times, times[1:]))):
+        raise ValueError("observation times must be finite, strictly increasing and > 0")
 
 
 @dataclass

@@ -1,14 +1,21 @@
-"""Test-local from-scratch direction-number expansion.
+"""Test-local oracles for the low-discrepancy engine.
 
-Deliberately coded unlike the package generator: the primitive
-polynomial is reconstructed as a full bit pattern, the recurrence uses
-multiplication instead of shifts, and points are expanded one index at a
-time without Gray-code or vectorization tricks. Shares only the bundled
-table with the implementation under test.
+The direction-number expansion is deliberately coded unlike the package
+generator: the primitive polynomial is reconstructed as a full bit
+pattern, the recurrence uses multiplication instead of shifts, and points
+are expanded one index at a time without Gray-code or vectorization
+tricks. It shares only the bundled table with the implementation under
+test.
+
+The nested scramble is the level-by-level loop that derives each level's
+tree nodes with ``np.unique``: the package's layout lookup must take the
+same draws in the same order and return the same bits.
 """
 
 from functools import reduce
 from importlib import resources
+
+import numpy as np
 
 N_BITS = 53
 
@@ -35,3 +42,19 @@ def oracle_directions(dim: int, n_bits: int = N_BITS) -> list[int]:
 def oracle_point(index: int, directions: list[int], n_bits: int = N_BITS) -> float:
     chosen = [v for b, v in enumerate(directions) if (index >> b) & 1]
     return reduce(lambda x, y: x ^ y, chosen, 0) / 2.0**n_bits
+
+
+def oracle_owen_scramble(ipoints: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Nested uniform scrambling: one random bit flip per node of the dyadic
+    tree of each coordinate, applied by original-prefix grouping."""
+    out = ipoints.copy()
+    for j in range(ipoints.shape[1]):
+        x = ipoints[:, j]
+        acc = np.zeros_like(x)
+        for level in range(N_BITS):
+            prefixes = x >> np.uint64(N_BITS - level)
+            uniq, inverse = np.unique(prefixes, return_inverse=True)
+            flips = rng.integers(0, 2, size=uniq.shape[0], dtype=np.uint64)
+            acc ^= flips[inverse] << np.uint64(N_BITS - 1 - level)
+        out[:, j] = x ^ acc
+    return out

@@ -39,3 +39,18 @@ def test_traced_step_and_bench_count_the_seams_and_restore_them():
     after = _attributes()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_owen_bench_randomizes_once_per_point_set_estimate():
+    # perfbench's smoke test reads lowdisc.randomize.calls on psi-owen
+    tracer = Tracer()
+    bcfg = BenchConfig(x_a=0.0, x_b=3.0, a=0.0, b=1.0, inner_points_grid=(8,),
+                       replications=12, modes=("rqmc-times", "rqmc-times-values"),
+                       randomization="owen-scramble")
+    with instrumented(tracer, builtin("sine"), replication_ids=True) as model:
+        bench.run_bench(model, bcfg, 5)
+    c = tracer.counts
+    point_set_estimates = c["psi.estimates"] - c["psi.kappa_zero"] - c["psi.fallback"]
+    assert point_set_estimates > 0
+    assert tracer.calls["lowdisc.randomize"] == point_set_estimates
+    assert tracer.calls["rngs.fresh_seed"] == point_set_estimates

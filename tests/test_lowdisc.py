@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmc_oracle import oracle_directions, oracle_point
+from qmc_oracle import oracle_directions, oracle_owen_scramble, oracle_point
 from rwpf import lowdisc
 from rwpf.errors import UnsupportedDimensionError
 
@@ -101,6 +101,63 @@ def test_memoized_base_is_read_only_and_randomizes_unchanged(scheme, digest):
     fresh = lowdisc.randomize(lowdisc.generate_base.__wrapped__(5, 32), scheme, 11)
     assert np.array_equal(fresh.ipoints, ps.ipoints)
     assert np.array_equal(fresh.points, ps.points)
+
+
+def _stream(seed):
+    """The generator ``randomize`` draws from for ``seed``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64])
+def test_owen_scramble_matches_level_loop_oracle(dim):
+    for count in (1, 2, 3, 5, 8, 33, 64, 100, 1000):
+        base = lowdisc.generate_base(dim, count)
+        for seed in (11, 2**62 + 7):
+            expected_rng = _stream(seed)
+            expected = oracle_owen_scramble(base.ipoints, expected_rng)
+            ps = lowdisc.randomize(base, "owen-scramble", seed)
+            assert np.array_equal(ps.ipoints, expected), (count, seed)
+            rng = _stream(seed)
+            lowdisc._owen_scramble(base, rng)
+            # the stream is left where the loop leaves it, buffered half-word too
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+            assert rng.integers(0, 2**63) == expected_rng.integers(0, 2**63)
+
+
+def test_scramble_layout_holds_for_every_coordinate():
+    # column j of a base does not depend on its dimension, so the 64-dim
+    # bases cover every dimension
+    for count in [*range(1, 301), 512, 1024, 4096]:
+        base = lowdisc.generate_base.__wrapped__(lowdisc.MAX_DIMENSION, count)
+        depth, top, rank = lowdisc._scramble_layout.__wrapped__(base)
+        assert depth == (count - 1).bit_length()
+        assert top.shape == rank.shape == (lowdisc.MAX_DIMENSION, count)
+    # the layout is the grouping np.unique gives at every one of the 53 levels
+    for count in (5, 100, 1000):
+        base = lowdisc.generate_base.__wrapped__(lowdisc.MAX_DIMENSION, count)
+        depth, top, rank = lowdisc._scramble_layout.__wrapped__(base)
+        for j in range(lowdisc.MAX_DIMENSION):
+            for level in range(lowdisc.N_BITS):
+                prefixes = base.ipoints[:, j] >> np.uint64(lowdisc.N_BITS - level)
+                _, inverse = np.unique(prefixes, return_inverse=True)
+                node = top[j] >> (depth - level) if level < depth else rank[j]
+                assert np.array_equal(inverse, node), (count, j, level)
+
+
+def test_owen_scramble_refuses_a_base_that_breaks_the_layout():
+    base = lowdisc.generate_base(2, 8)
+    by_hand = lowdisc.PointSet(2, 8, base.points.copy(), "none", None,
+                               base.ipoints.copy())
+    assert np.array_equal(lowdisc.randomize(by_hand, "owen-scramble", 3).ipoints,
+                          lowdisc.randomize(base, "owen-scramble", 3).ipoints)
+    by_hand.ipoints[1] = by_hand.ipoints[0]     # repeated point: not its old tree
+    with pytest.raises(ValueError, match="share"):
+        lowdisc.randomize(by_hand, "owen-scramble", 3)
+    # distinct points whose 2-bit prefixes leave node 11 empty
+    pts = np.array([[0.0], [0.125], [0.25], [0.375], [0.5]])
+    gappy = lowdisc.PointSet(1, 5, pts, "none", None, lowdisc.shift_from_floats(pts))
+    with pytest.raises(ValueError, match="empty node"):
+        lowdisc.randomize(gappy, "owen-scramble", 3)
 
 
 def test_randomize_rejects_randomized_input_and_bad_scheme():

@@ -262,7 +262,8 @@ def test_posterior_tracking_against_grid_filter():
 def test_observation_times_rule():
     for ok in ([1.0, 2.0, 3.0], [0.5], []):
         smc.check_observation_times(ok)
-    for bad in ([1.0, 1.0], [0.0, 1.0], [2.0, 1.0], [-1.0]):
+    for bad in ([1.0, 1.0], [0.0, 1.0], [2.0, 1.0], [-1.0],
+                [math.nan, 1.0], [1.0, math.nan], [1.0, math.inf]):
         with pytest.raises(ValueError, match="strictly increasing"):
             smc.check_observation_times(bad)
 
