@@ -206,8 +206,10 @@ def _bench_config(raw: dict) -> BenchConfig | None:
     if not grid or any(not isinstance(m, int) or isinstance(m, bool) or m < 1
                        for m in grid):
         raise ConfigError("bench.inner_points_grid: expected positive integers")
-    modes = [_canon_mode(m) for m in
-             _take(sub, "modes", list, default=["mc", "rqmc-times-values"])]
+    modes = _take(sub, "modes", list, default=["mc", "rqmc-times-values"])
+    if not all(isinstance(m, str) for m in modes):
+        raise ConfigError(f"bench.modes: expected mode names, got {modes}")
+    modes = [_canon_mode(m) for m in modes]
     if len(set(modes)) != len(modes):
         raise ConfigError(f"bench.modes: duplicate entries in {modes} "
                           "(\"rqmc\" is rqmc-times-values)")
@@ -229,11 +231,12 @@ def _bench_config(raw: dict) -> BenchConfig | None:
     if cfg.replications < 2:
         raise ConfigError("bench.replications: need at least 2")
     for mode in cfg.modes:  # the rule every run_bench estimate is held to
-        try:
-            psi.PsiConfig(mode=mode, rqmc_kappa_cap=cfg.kappa_cap,
-                          randomization=cfg.randomization)
-        except ValueError as exc:
-            raise ConfigError(f"bench: {exc}") from None
+        for m in cfg.inner_points_grid:
+            try:
+                psi.PsiConfig(mode=mode, inner_points=m, rqmc_kappa_cap=cfg.kappa_cap,
+                              randomization=cfg.randomization)
+            except ValueError as exc:
+                raise ConfigError(f"bench: {exc}") from None
     return cfg
 
 
@@ -287,7 +290,8 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(name, str):
         raise ConfigError("model.name: required string")
     for key, val in model_spec.items():
-        _finite(val, f"model.{key}")
+        if _finite(val, f"model.{key}") is None:
+            raise ConfigError(f"model.{key}: expected a number")
 
     seed = _take(raw, "seed", int, required=True)
 

@@ -29,7 +29,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import UnsupportedDimensionError
 
@@ -42,7 +41,7 @@ SCHEME_DIGITAL_SHIFT = "digital-shift"
 SCHEME_OWEN = "owen-scramble"
 _SCHEMES = (SCHEME_DIGITAL_SHIFT, SCHEME_OWEN)
 
-_MAX_COUNT = 2**31  # index arithmetic stays comfortably inside 53 bits
+MAX_COUNT = 2**31  # index arithmetic stays comfortably inside 53 bits
 _LEVEL_BIT = (N_BITS - 1 - np.arange(N_BITS)).astype(np.uint64)[:, None]  # flip bit per level
 
 
@@ -56,23 +55,6 @@ class PointSet:
     randomization: str
     seed: int | None
     ipoints: np.ndarray         # (M, d) uint64, points * 2**53
-
-
-@dataclass
-class ProjectionReport:
-    """Chi-square uniformity statistics of all 2D coordinate projections."""
-
-    count: int
-    dimension: int
-    grid: int                                   # cells per axis
-    pair_stats: dict[tuple[int, int], float]    # (i, j) -> chi-square
-    dof: int
-    threshold_999: float
-    insufficient_points: bool
-
-    @property
-    def max_stat(self) -> float:
-        return max(self.pair_stats.values()) if self.pair_stats else 0.0
 
 
 @lru_cache(maxsize=1)
@@ -128,8 +110,8 @@ def generate_base(dimension: int, count: int) -> PointSet:
         raise UnsupportedDimensionError(
             f"dimension {dimension} outside supported range 1..{MAX_DIMENSION}"
         )
-    if not 1 <= count <= _MAX_COUNT:
-        raise ValueError(f"count must be in 1..{_MAX_COUNT}, got {count}")
+    if not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"count must be in 1..{MAX_COUNT}, got {count}")
 
     v = np.stack([_direction_integers(j + 1) for j in range(dimension)])  # (d, 53)
     idx = np.arange(count, dtype=np.uint64)
@@ -192,12 +174,6 @@ def apply_digital_shift(base: PointSet, shifts: np.ndarray) -> PointSet:
     ipoints = base.ipoints ^ shifts[..., None, :]
     return PointSet(base.dimension, base.count, _to_floats(ipoints),
                     SCHEME_DIGITAL_SHIFT, base.seed, ipoints)
-
-
-def shift_from_floats(values) -> np.ndarray:
-    """Convert shift coordinates in [0,1) to their 53-bit integer form."""
-    arr = np.asarray(values, dtype=np.float64)
-    return (arr * _SCALE).astype(np.uint64)
 
 
 @lru_cache(maxsize=32)
@@ -263,26 +239,3 @@ def randomize(base: PointSet, scheme: str, seed: int) -> PointSet:
     ipoints = _owen_scramble(base, rng)
     return PointSet(base.dimension, base.count, _to_floats(ipoints), SCHEME_OWEN,
                     int(seed), ipoints)
-
-
-def projection_quality(ps: PointSet, grid: int = 16) -> ProjectionReport:
-    """Chi-square statistic of every 2D projection over a grid x grid mesh.
-
-    A base-2 digital net whose cells are elementary dyadic boxes scores 0;
-    i.i.d. uniforms score around the dof. Flagged insufficient below 16
-    points (one per grid row), where the statistic is meaningless.
-    """
-    dof = grid * grid - 1
-    threshold = float(chi2.ppf(0.999, dof))
-    insufficient = ps.count < grid
-    stats: dict[tuple[int, int], float] = {}
-    if not insufficient:
-        expected = ps.count / (grid * grid)
-        cells = np.minimum((ps.points * grid).astype(np.int64), grid - 1)
-        for i in range(ps.dimension):
-            for j in range(i + 1, ps.dimension):
-                flat = cells[:, i] * grid + cells[:, j]
-                counts = np.bincount(flat, minlength=grid * grid)
-                stats[(i, j)] = float(np.sum((counts - expected) ** 2) / expected)
-    return ProjectionReport(ps.count, ps.dimension, grid, stats, dof,
-                            threshold, insufficient)

@@ -47,10 +47,9 @@ class DriftModel:
     tilted_sampler: Callable | None = None
     # (x_a, t) -> log of the tilted kernel's normalizing constant
     tilted_log_normalizer: Callable | None = None
-    # (x_a,) -> log B with B >= sup_x exp{A(x) - A(x_a)}
+    # (x_a,) -> log B with B >= sup_x exp{A(x) - A(x_a)}; read only
+    # when there is no tilted_sampler
     rejection_log_envelope: Callable | None = None
-    # the tilted kernel *is* the transition law (phi constant)
-    tilted_is_exact_transition: bool = False
 
 
 def phi(model: DriftModel, u):
@@ -134,8 +133,6 @@ def _make_zero() -> DriftModel:
         exact_log_density=_gauss_log_density,
         tilted_sampler=sampler,
         tilted_log_normalizer=lambda x_a, t: 0.0,
-        rejection_log_envelope=lambda x_a: 0.0,
-        tilted_is_exact_transition=True,
     )
 
 
@@ -161,7 +158,6 @@ def _make_tanh() -> DriftModel:
         exact_log_density=log_density,
         tilted_sampler=sampler,
         tilted_log_normalizer=lambda x_a, t: t / 2.0,
-        tilted_is_exact_transition=True,
     )
 
 

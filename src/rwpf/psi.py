@@ -82,6 +82,10 @@ class PsiConfig:
             raise ValueError(
                 f"rqmc_kappa_cap > {lowdisc.MAX_DIMENSION} unsupported in mode {self.mode}"
             )
+        if self.mode != MODE_MC and self.inner_points > lowdisc.MAX_COUNT:
+            raise ValueError(
+                f"inner_points > {lowdisc.MAX_COUNT} unsupported in mode {self.mode}"
+            )
         if self.mode != MODE_MC and self.randomization not in (
             lowdisc.SCHEME_DIGITAL_SHIFT, lowdisc.SCHEME_OWEN
         ):

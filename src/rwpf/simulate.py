@@ -1,10 +1,11 @@
 """Synthetic data generation for the filtering experiments.
 
-The latent path starts at the known x0. Models whose tilted kernel is
-the exact transition law (constant phi: zero drift, tanh) are advanced
-by exact draws between observation times; everything else uses fine
-Euler-Maruyama with a configurable resolution. Observations add
-Gaussian noise, with sigma = 0 permitted to produce exact observations.
+The latent path starts at the known x0. Models with constant phi and an
+exact tilted sampler (zero drift, tanh), whose tilted kernel is then the
+transition law, are advanced by exact draws between observation times;
+everything else uses fine Euler-Maruyama with a configurable resolution.
+Observations add Gaussian noise, with sigma = 0 permitted to produce
+exact observations.
 """
 
 import math
@@ -93,7 +94,9 @@ def simulate(cfg: RunConfig) -> Dataset:
     fine_x: list[float] = []
     x = float(cfg.x0)
     prev_t = 0.0
-    exact = model.tilted_is_exact_transition
+    # with phi constant the tilted kernel is the transition law
+    exact = (model.phi_bounds[0] == model.phi_bounds[1]
+             and model.tilted_sampler is not None)
     for t in times:
         if exact:
             x = model.tilted_sampler(x, t - prev_t, rng)

@@ -10,12 +10,18 @@ test.
 The nested scramble is the level-by-level loop that derives each level's
 tree nodes with ``np.unique``: the package's layout lookup must take the
 same draws in the same order and return the same bits.
+
+The projection check (a chi-square statistic of every 2D projection) and
+``shift_from_floats`` are test diagnostics of the point sets, not part of
+the estimators, so they live here too.
 """
 
+from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 
 import numpy as np
+from scipy.stats import chi2
 
 N_BITS = 53
 
@@ -58,3 +64,50 @@ def oracle_owen_scramble(ipoints: np.ndarray, rng: np.random.Generator) -> np.nd
             acc ^= flips[inverse] << np.uint64(N_BITS - 1 - level)
         out[:, j] = x ^ acc
     return out
+
+
+def shift_from_floats(values) -> np.ndarray:
+    """Convert coordinates in [0,1) to their 53-bit integer form."""
+    arr = np.asarray(values, dtype=np.float64)
+    return (arr * float(2**N_BITS)).astype(np.uint64)
+
+
+@dataclass
+class ProjectionReport:
+    """Chi-square uniformity statistics of all 2D coordinate projections."""
+
+    count: int
+    dimension: int
+    grid: int                                   # cells per axis
+    pair_stats: dict[tuple[int, int], float]    # (i, j) -> chi-square
+    dof: int
+    threshold_999: float
+    insufficient_points: bool
+
+    @property
+    def max_stat(self) -> float:
+        return max(self.pair_stats.values()) if self.pair_stats else 0.0
+
+
+def projection_quality(ps, grid: int = 16) -> ProjectionReport:
+    """Chi-square statistic of every 2D projection of the point set ``ps``
+    over a grid x grid mesh.
+
+    A base-2 digital net whose cells are elementary dyadic boxes scores 0;
+    i.i.d. uniforms score around the dof. Flagged insufficient below 16
+    points (one per grid row), where the statistic is meaningless.
+    """
+    dof = grid * grid - 1
+    threshold = float(chi2.ppf(0.999, dof))
+    insufficient = ps.count < grid
+    stats: dict[tuple[int, int], float] = {}
+    if not insufficient:
+        expected = ps.count / (grid * grid)
+        cells = np.minimum((ps.points * grid).astype(np.int64), grid - 1)
+        for i in range(ps.dimension):
+            for j in range(i + 1, ps.dimension):
+                flat = cells[:, i] * grid + cells[:, j]
+                counts = np.bincount(flat, minlength=grid * grid)
+                stats[(i, j)] = float(np.sum((counts - expected) ** 2) / expected)
+    return ProjectionReport(ps.count, ps.dimension, grid, stats, dof,
+                            threshold, insufficient)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from qmc_oracle import projection_quality, shift_from_floats
 from rwpf import cli, lowdisc, oracles, smc
 from rwpf.errors import DegeneracyError
 
@@ -252,6 +253,40 @@ def test_psi_bench_bad_bench_section_exits_2(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("psi-bench", {"bench": {"x_a": 0.0, "x_b": 0.0, "a": 0.0, "b": 1.0,
+                             "inner_points_grid": [4], "replications": 20,
+                             "modes": [["mc"]]}}),
+    ("simulate", {"model": {"name": "scaled-sine", "theta": True}}),
+    ("filter", {"psi": {"mode": "rqmc-times-values", "inner_points": 2**31 + 1}}),
+    ("psi-bench", {"bench": {"x_a": 0.0, "x_b": 0.0, "a": 0.0, "b": 1.0,
+                             "inner_points_grid": [2**31 + 1], "replications": 20,
+                             "modes": ["rqmc-times"]}}),
+])
+def test_bad_field_types_and_point_cap_exit_2(tmp_path, command, extra):
+    args = []
+    if command == "filter":  # on a dataset that this config's dataset hash binds
+        good = _write_config(tmp_path / "good.json", model={"name": "sine"})
+        assert _run("simulate", "--config", str(good), "--out", str(tmp_path)).returncode == 0
+        args = ["--data", str(tmp_path / "dataset.json")]
+    cfg = _write_config(tmp_path / "cfg.json", model={"name": "sine"}, extra=extra)
+    r = _run(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error: ")
+    assert "Traceback" not in r.stderr
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats is for the tests only; the test process has it loaded
+    # already, so a fresh interpreter does the import
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, rwpf, rwpf.cli; "
+                        "print([m for m in sys.modules if m.startswith('scipy.stats')])"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_long_gap_overflow_exits_3(tmp_path):
     # a gap of 1e19 puts the kappa rate past numpy's Poisson range
     cfg = _write_config(tmp_path / "cfg.json", extra={
@@ -312,8 +347,8 @@ def test_qmc_dump_matches_generator_and_roundtrips(tmp_path):
     direct = lowdisc.randomize(lowdisc.generate_base(2, 256), "digital-shift", 7)
     assert np.array_equal(pts, direct.points)  # full round-trip precision
     reread = lowdisc.PointSet(2, 256, pts, "digital-shift", 7,
-                              lowdisc.shift_from_floats(pts))
-    report = lowdisc.projection_quality(reread)
+                              shift_from_floats(pts))
+    report = projection_quality(reread)
     assert report.max_stat <= report.threshold_999
 
 

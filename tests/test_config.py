@@ -93,6 +93,12 @@ def test_rqmc_mode_alias_selects_default_layout():
     (dict(oracle={"kind": "grid-filter", "dataset": "d.json",
                   "grid": {"lo": 0.0, "hi": 1.0, "n_cells": True}}), "oracle.grid.n_cells"),
     (dict(observation_times={"count": 3, "spacing": 0.5, "start": 10.0}), "observation_times"),
+    (dict(bench={**_BENCH, "modes": [["mc"]]}), "bench.modes"),
+    (dict(model={"name": "scaled-sine", "theta": True}), "model.theta"),
+    (dict(model={"name": "scaled-sine", "theta": "2"}), "model.theta"),
+    (dict(psi={"mode": "rqmc-times", "inner_points": 2**31 + 1}), "psi"),
+    (dict(bench={**_BENCH, "modes": ["mc", "rqmc-times-values"],
+                 "inner_points_grid": [4, 2**31 + 1]}), "bench"),
 ])
 def test_parse_field_errors(mutation, fragment):
     raw = _base_config()
@@ -103,6 +109,16 @@ def test_parse_field_errors(mutation, fragment):
             raw[key] = value
     with pytest.raises(ConfigError, match=fragment.split(".")[0]):
         parse_config(raw)
+
+
+def test_point_count_cap_exempts_mc():
+    # the 2**31 cap bounds the point sets; mc draws no point set
+    over = 2**31 + 1
+    assert parse_config(_base_config(psi={"mode": "mc", "inner_points": over})
+                        ).psi_cfg.inner_points == over
+    cfg = parse_config(_base_config(bench={**_BENCH, "modes": ["mc"],
+                                           "inner_points_grid": [over]}))
+    assert cfg.bench.inner_points_grid == (over,)
 
 
 def test_bench_modes_must_be_distinct():

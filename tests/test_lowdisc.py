@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmc_oracle import oracle_directions, oracle_owen_scramble, oracle_point
+from qmc_oracle import (oracle_directions, oracle_owen_scramble, oracle_point,
+                        projection_quality, shift_from_floats)
 from rwpf import lowdisc
 from rwpf.errors import UnsupportedDimensionError
 
@@ -155,7 +156,7 @@ def test_owen_scramble_refuses_a_base_that_breaks_the_layout():
         lowdisc.randomize(by_hand, "owen-scramble", 3)
     # distinct points whose 2-bit prefixes leave node 11 empty
     pts = np.array([[0.0], [0.125], [0.25], [0.375], [0.5]])
-    gappy = lowdisc.PointSet(1, 5, pts, "none", None, lowdisc.shift_from_floats(pts))
+    gappy = lowdisc.PointSet(1, 5, pts, "none", None, shift_from_floats(pts))
     with pytest.raises(ValueError, match="empty node"):
         lowdisc.randomize(gappy, "owen-scramble", 3)
 
@@ -173,7 +174,7 @@ def test_digital_shift_identity_and_half():
     base = lowdisc.generate_base(1, 1)
     same = lowdisc.apply_digital_shift(base, np.zeros(1, dtype=np.uint64))
     assert same.points.tolist() == [[0.0]]
-    half = lowdisc.apply_digital_shift(base, lowdisc.shift_from_floats([0.5]))
+    half = lowdisc.apply_digital_shift(base, shift_from_floats([0.5]))
     assert half.points.tolist() == [[0.5]]
 
 
@@ -225,12 +226,12 @@ def test_randomized_average_unbiased_for_integrals():
 
 def test_projection_quality_net_vs_iid():
     base = lowdisc.generate_base(2, 256)
-    report = lowdisc.projection_quality(base)
+    report = projection_quality(base)
     assert not report.insufficient_points
     assert report.max_stat <= report.threshold_999
     # digital shift preserves the (0,2)-net cell counts exactly
     shifted = lowdisc.randomize(base, "digital-shift", 5)
-    assert lowdisc.projection_quality(shifted).max_stat == 0.0
+    assert projection_quality(shifted).max_stat == 0.0
 
     rng = np.random.default_rng(11)
     wins = 0
@@ -238,15 +239,15 @@ def test_projection_quality_net_vs_iid():
         net = lowdisc.randomize(base, "digital-shift", s)
         iid_pts = rng.random((256, 2))
         iid = lowdisc.PointSet(2, 256, iid_pts, "none", None,
-                               lowdisc.shift_from_floats(iid_pts))
-        net_stat = lowdisc.projection_quality(net).max_stat
-        iid_stat = lowdisc.projection_quality(iid).max_stat
+                               shift_from_floats(iid_pts))
+        net_stat = projection_quality(net).max_stat
+        iid_stat = projection_quality(iid).max_stat
         wins += net_stat <= iid_stat
     assert wins >= 90
 
 
 def test_projection_quality_insufficient_points():
-    report = lowdisc.projection_quality(lowdisc.generate_base(2, 1))
+    report = projection_quality(lowdisc.generate_base(2, 1))
     assert report.insufficient_points
     assert report.pair_stats == {}
 
