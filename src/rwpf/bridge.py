@@ -90,11 +90,15 @@ class LazyBridge:
         return value
 
     def insert_path(self, times, values) -> None:
-        """Merge (time, value) pairs sampled elsewhere, at times not yet in
-        the skeleton; each counts as one insertion."""
-        pairs = sorted(zip(self._times + list(times), self._values + list(values)))
-        self._times = [t for t, _ in pairs]
-        self._values = [v for _, v in pairs]
+        """Write the fresh points of a shared path, its times sorted and
+        strictly inside (a, b), into a two-point skeleton; each counts as
+        one insertion."""
+        if len(self._times) != 2:
+            raise ContractViolationError(
+                f"insert_path needs a two-point skeleton, got {len(self._times)} points"
+            )
+        self._times[1:1] = times
+        self._values[1:1] = values
         self.total_inserted += len(times)
 
     def snapshot(self):

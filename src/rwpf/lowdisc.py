@@ -15,13 +15,15 @@ happens on the integer form, so regenerating with the same
 deterministic in (dimension, count), so it is built once per pair and
 shared, with read-only arrays.
 
-Nested scrambling (Owen 1995) draws one flip bit per node of each
-coordinate's dyadic tree, level by level. Only the nodes that hold a
-point are drawn, and which those are depends on the base alone, so the
-tree of each memoized base is laid out once (``_scramble_layout``) and
-every scramble after that is a lookup: with depth = (M-1).bit_length(),
-the levels above depth are complete heaps, and from depth down every
-point sits alone in its node (the truncated form of Matousek 1998).
+Nested uniform scrambling (Owen 1995) needs one fair flip bit per node
+of each coordinate's dyadic tree that holds a point. Which nodes those
+are depends on the base alone, so the tree of each memoized base is laid
+out once (``_scramble_layout``): with depth = (M-1).bit_length(), the
+levels above depth are complete heaps, and from depth down every point
+sits alone in its node (the truncated form of Matousek 1998), so its
+remaining flips are one uniform integer. A scramble is then one draw of
+64-bit raw words from the caller's stream, one heap of bits and one word
+per point for each coordinate, folded through that layout.
 """
 
 from dataclasses import dataclass
@@ -43,18 +45,22 @@ _SCHEMES = (SCHEME_DIGITAL_SHIFT, SCHEME_OWEN)
 
 MAX_COUNT = 2**31  # index arithmetic stays comfortably inside 53 bits
 _LEVEL_BIT = (N_BITS - 1 - np.arange(N_BITS)).astype(np.uint64)[:, None]  # flip bit per level
+_WORD_BITS = 64          # bits per raw word of the bit generator
+_BIT_POS = np.arange(_WORD_BITS, dtype=np.uint64)
+_BLOCK_WORDS = 2**20     # words of draw and heap gather per block of scramble rows
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """An M x d point set in [0,1)^d with its exact 53-bit integer form."""
+    """An M x d point set in [0,1)^d, or g of them stacked, with its exact
+    53-bit integer form."""
 
     dimension: int
     count: int
-    points: np.ndarray          # (M, d) float64
+    points: np.ndarray          # (M, d) float64; (g, M, d) for g sets
     randomization: str
     seed: int | None
-    ipoints: np.ndarray         # (M, d) uint64, points * 2**53
+    ipoints: np.ndarray         # uint64, points * 2**53
 
 
 @lru_cache(maxsize=1)
@@ -93,7 +99,7 @@ def _direction_integers(dimension: int) -> np.ndarray:
 
 
 def _to_floats(ipoints: np.ndarray) -> np.ndarray:
-    return ipoints.astype(np.float64) / _SCALE
+    return ipoints * (1.0 / _SCALE)     # exact: below 2**53, times a power of two
 
 
 @lru_cache(maxsize=256)
@@ -187,55 +193,80 @@ def _heap_nodes(depth: int) -> np.ndarray:
     return nodes
 
 
-def _owen_scramble(base: PointSet, rng: np.random.Generator) -> np.ndarray:
-    """Nested uniform scrambling: one random flip bit per occupied node of
-    each coordinate's dyadic tree, XORed into the bit of that level.
+def _owen_scramble(base: PointSet, rng: np.random.Generator, g: int) -> np.ndarray:
+    """g nested uniform scrambles of ``base`` as (g, M, d) integers (a view
+    of rows stored coordinate by coordinate), from one draw of 64-bit raw
+    words: one fair flip bit per occupied node of each coordinate's dyadic
+    tree, XORed into the bit of that node's level.
 
-    The draws are those of the level-by-level definition, which groups the
-    points by their l-bit prefixes (``np.unique``) and draws one bit per
-    group, for l = 0..52 and coordinate by coordinate: 2**l bits at each
-    level l < depth, M bits at each level from depth down, in sorted-prefix
-    order. ``rng.integers(0, 2, size=a)`` then ``size=b`` gives the same
-    bits, and leaves the stream in the same state, as one ``size=a+b``
-    draw, so each coordinate takes one draw. Its first 2**depth - 1 bits
-    are a heap for the top levels (node 2**l - 1 + prefix at level l),
-    folded into one integer per depth-bit prefix and gathered by top. The
-    rest is a block of (53 - depth, M) bits, row r for level depth + r and
-    column for the sorted slot, folded into one integer per slot and
-    gathered by rank. The largest arrays are one coordinate's draw and its
-    (depth, 2**depth) heap gather; none spans all coordinates and levels.
+    The draw is one row per (set, coordinate), set-major then coordinate-
+    major. A row is h = ceil((2**depth - 1) / 64) heap words, one bit per
+    node of the complete levels above depth, then M point words in rank
+    order. From depth down each point sits alone in its node, so its flips
+    there are 53 - depth fair bits of its own: the top bits of its word.
+    The heap bits are folded into one integer per depth-bit prefix and
+    gathered by top, the point words by rank.
+
+    Rows are drawn and folded in blocks of whole rows, at most
+    _BLOCK_WORDS words of draw and heap gather (one row at least), so a
+    large set never holds a temporary across all its coordinates. Raw
+    words carry no buffer between calls, so the blocks draw what one call
+    would.
     """
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("Owen scrambling draws 64-bit raw words; MT19937 gives 32-bit ones")
     # a base with writeable arrays (built by hand) may change between calls,
     # so its layout is built afresh
     depth, top, rank = (_scramble_layout.__wrapped__(base) if base.ipoints.flags.writeable
                         else _scramble_layout(base))
-    n_heap = (1 << depth) - 1
     nodes = _heap_nodes(depth)
-    out = base.ipoints.copy()
-    for j in range(base.dimension):
-        bits = rng.integers(0, 2, size=n_heap + (N_BITS - depth) * base.count,
-                            dtype=np.uint64)
-        heap = bits[nodes]                          # (depth, 2**depth) by prefix
-        heap <<= _LEVEL_BIT[:depth]
-        deep = bits[n_heap:].reshape(N_BITS - depth, base.count)
-        deep <<= _LEVEL_BIT[depth:]
-        out[:, j] ^= (np.bitwise_or.reduce(heap, axis=0)[top[j]]
-                      | np.bitwise_or.reduce(deep, axis=0)[rank[j]])
-        del bits, heap, deep                        # freed before the next draw
-    return out
+    d, m = base.dimension, base.count
+    n_heap = -(-((1 << depth) - 1) // _WORD_BITS)
+    row = n_heap + m
+    per_block = max(1, _BLOCK_WORDS // (row + _WORD_BITS * n_heap + nodes.size))
+    deep_shift = np.uint64(_WORD_BITS - (N_BITS - depth))
+    flips = np.empty((g * d, m), dtype=np.uint64)   # one row per (set, coordinate)
+    for start in range(0, g * d, per_block):
+        rows = flips[start:start + per_block]
+        j = np.arange(start, start + len(rows)) % d
+        r = np.arange(len(rows))[:, None]
+        words = rng.bit_generator.random_raw(len(rows) * row).reshape(len(rows), row)
+        bits = words[:, :n_heap, None] >> _BIT_POS  # node k at [k // 64, k % 64]
+        bits &= np.uint64(1)
+        heap = bits.reshape(len(rows), _WORD_BITS * n_heap).take(nodes, axis=1)
+        heap <<= _LEVEL_BIT[:depth]                 # (rows, depth, 2**depth)
+        np.bitwise_or(np.bitwise_or.reduce(heap, axis=1)[r, top[j]],
+                      (words[:, n_heap:] >> deep_shift)[r, rank[j]], out=rows)
+    flips = flips.reshape(g, d, m)
+    flips ^= base.ipoints.T
+    return flips.transpose(0, 2, 1)
 
 
-def randomize(base: PointSet, scheme: str, seed: int) -> PointSet:
-    """Seed-deterministic randomization of an unrandomized point set."""
+def randomize(base: PointSet, scheme: str, seed, g: int | None = None) -> PointSet:
+    """Randomize an unrandomized point set, drawing from ``seed``: an int
+    builds the stream PCG64(SeedSequence(seed)), so an int seed always
+    gives the same points; a Generator (or anything else) is drawn from as
+    given.
+
+    With ``g``, g sets come from one draw, stacked as (g, M, d): a (g, d)
+    draw of 53-bit shifts, or one raw-word draw for g Owen scrambles. They
+    equal g single-set draws in a row on the same stream.
+    """
     if base.randomization != SCHEME_NONE:
         raise ValueError("randomize expects an unrandomized base point set")
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown randomization scheme {scheme!r}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    if isinstance(seed, (int, np.integer)):
+        seed = int(seed)
+        rng = np.random.default_rng(seed)
+    else:
+        rng, seed = seed, None
     if scheme == SCHEME_DIGITAL_SHIFT:
-        shifts = rng.integers(0, 2**N_BITS, size=base.dimension, dtype=np.uint64)
-        ps = apply_digital_shift(base, shifts)
-        return PointSet(ps.dimension, ps.count, ps.points, scheme, int(seed), ps.ipoints)
-    ipoints = _owen_scramble(base, rng)
-    return PointSet(base.dimension, base.count, _to_floats(ipoints), SCHEME_OWEN,
-                    int(seed), ipoints)
+        shape = (base.dimension,) if g is None else (g, base.dimension)
+        ps = apply_digital_shift(base, rng.integers(0, 2**N_BITS, size=shape,
+                                                    dtype=np.uint64))
+        return PointSet(ps.dimension, ps.count, ps.points, scheme, seed, ps.ipoints)
+    ipoints = _owen_scramble(base, rng, 1 if g is None else g)
+    if g is None:
+        ipoints = ipoints[0]
+    return PointSet(base.dimension, base.count, _to_floats(ipoints), scheme, seed, ipoints)

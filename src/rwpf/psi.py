@@ -36,10 +36,9 @@ batch of one, return scalar fields and write the fresh points of the
 shared path into the caller's ``LazyBridge``. ``estimate_cloud`` does
 ``estimate``'s work for a whole particle cloud on one stream: the N
 kappas are one Poisson draw, and each kappa group takes its uniforms,
-or its digital shifts, as one array draw (Owen scrambling still seeds
-one point set per bridge); it returns one estimate whose fields are
-arrays over the cloud. kappa is always pseudo-random, never taken from
-the point set. Above the configured kappa cap the point-set modes fall
+or all its randomized point sets, as one array draw; it returns one
+estimate whose fields are arrays over the cloud. kappa is always
+pseudo-random, never taken from the point set. Above the configured kappa cap the point-set modes fall
 back to plain MC (tagged ``mc-fallback``), reflecting that the point-set
 route only pays off when kappa is small.
 """
@@ -54,7 +53,8 @@ from . import lowdisc
 from .bridge import _TINY, LazyBridge
 from .errors import ContractViolationError, NumericError, UnsupportedDimensionError
 from .models import PHI_TOL, DriftModel, phi
-from .rngs import fresh_seed
+# not called here; kept as psi.fresh_seed, the name perfbench's tracer wraps
+from .rngs import fresh_seed  # noqa: F401
 
 MODE_MC = "mc"
 MODE_RQMC_TIMES = "rqmc-times"
@@ -123,9 +123,8 @@ def sample_kappa(rate_interval: tuple[float, float], a: float, b: float, rng, sh
 
 def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rng, g: int) -> np.ndarray:
     """g freshly randomized copies of the shared base net of dimension d
-    (kappa, or 2 * kappa with values), stacked as (g, M, d): one (g, d)
-    draw of digital shifts, or one ``fresh_seed`` per Owen-scrambled set.
-    """
+    (kappa, or 2 * kappa with values), stacked as (g, M, d), from one
+    ``lowdisc.randomize`` draw on ``rng``."""
     dim = kappa if mode == MODE_RQMC_TIMES else 2 * kappa
     if dim > lowdisc.MAX_DIMENSION:
         raise UnsupportedDimensionError(
@@ -133,11 +132,7 @@ def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rng, g: int) -> np.ndarra
             f"above the supported {lowdisc.MAX_DIMENSION}; lower rqmc_kappa_cap"
         )
     base = lowdisc.generate_base(dim, cfg.inner_points)
-    if cfg.randomization == lowdisc.SCHEME_OWEN:
-        return np.array([lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
-                         for _ in range(g)])
-    shifts = rng.integers(0, 2**lowdisc.N_BITS, size=(g, dim), dtype=np.uint64)
-    return lowdisc.apply_digital_shift(base, shifts).points
+    return lowdisc.randomize(base, cfg.randomization, rng, g).points
 
 
 def _uniforms(mode: str, kappa: int, cfg: PsiConfig, rng, g: int

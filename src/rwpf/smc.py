@@ -21,14 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import proposal, psi
 from .errors import DegeneracyError
 from .models import DriftModel, validate_model
 from .proposal import MODE_GAUSSIAN
 from .rngs import NS_FILTER, particle_streams
-from .stats import norm_logpdf
+from .stats import logsumexp, norm_logpdf
 
 RESAMPLING_SCHEMES = ("multinomial", "systematic", "stratified")
 

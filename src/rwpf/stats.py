@@ -1,4 +1,4 @@
-"""Scalar probability helpers.
+"""Probability helpers.
 
 `invnorm` is Wichura's AS 241 / PPND16 rational approximation of the
 standard normal quantile function (absolute error below 1e-15 over the
@@ -6,10 +6,13 @@ open unit interval, far inside the 1e-9 budget the bridge sampler needs).
 It serves ``LazyBridge``'s one-at-a-time queries, which take one uniform
 per Gaussian and are the scalar reference for the estimators; the
 estimators' array kernel uses ``scipy.special.ndtri`` instead, and the
-test suite checks the two against each other.
+test suite checks the two against each other. `logsumexp` is the
+particle filter's log-sum-exp of its log-weights, in numpy.
 """
 
 import math
+
+import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -72,3 +75,23 @@ def norm_logpdf(x, mean, var):
     var is a scalar."""
     d = x - mean
     return -0.5 * (_LOG_2PI + math.log(var) + d * d / var)
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-D array, computed as ``scipy.special.logsumexp``
+    computes it, to the bit: the entries equal to the max are taken out of
+    the sum, the rest is s = sum(exp(a - max)) divided by their count, and
+    the result is log1p(s) + log(count) + max. Where that is not finite
+    (every entry -inf, an inf or a NaN) it is log(sum(exp(a))) instead."""
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a)
+    top = a == a_max
+    n_top = np.count_nonzero(top)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0.0:
+            s = s / n_top
+        out = np.log1p(s) + np.log(n_top) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)

@@ -8,8 +8,9 @@ tricks. It shares only the bundled table with the implementation under
 test.
 
 The nested scramble is the level-by-level loop that derives each level's
-tree nodes with ``np.unique``: the package's layout lookup must take the
-same draws in the same order and return the same bits.
+tree nodes with ``np.unique`` and reads their flip bits from the raw-word
+layout: the package's layout lookup must take the same draws in the same
+order and return the same bits.
 
 The projection check (a chi-square statistic of every 2D projection) and
 ``shift_from_floats`` are test diagnostics of the point sets, not part of
@@ -52,16 +53,33 @@ def oracle_point(index: int, directions: list[int], n_bits: int = N_BITS) -> flo
 
 def oracle_owen_scramble(ipoints: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Nested uniform scrambling: one random bit flip per node of the dyadic
-    tree of each coordinate, applied by original-prefix grouping."""
+    tree of each coordinate, applied by original-prefix grouping.
+
+    The node bits are read from raw 64-bit words, one coordinate after
+    another: with depth = (M-1).bit_length(), ceil((2**depth - 1) / 64)
+    heap words, where group p of level l < depth is node 2**l - 1 + p, in
+    bit (node % 64) of word (node // 64); then one word per group of the
+    levels l >= depth, in group order (from level depth down the groups
+    are the single points, in the same order), whose bit 63 - (l - depth)
+    is the group's flip at level l.
+    """
+    count = ipoints.shape[0]
+    depth = (count - 1).bit_length()
+    n_heap = -(-((1 << depth) - 1) // 64)
     out = ipoints.copy()
     for j in range(ipoints.shape[1]):
+        words = rng.bit_generator.random_raw(n_heap + count)
         x = ipoints[:, j]
         acc = np.zeros_like(x)
         for level in range(N_BITS):
             prefixes = x >> np.uint64(N_BITS - level)
             uniq, inverse = np.unique(prefixes, return_inverse=True)
-            flips = rng.integers(0, 2, size=uniq.shape[0], dtype=np.uint64)
-            acc ^= flips[inverse] << np.uint64(N_BITS - 1 - level)
+            if level < depth:
+                node = (1 << level) - 1 + np.arange(uniq.shape[0])
+                flips = words[node // 64] >> (node % 64).astype(np.uint64)
+            else:
+                flips = words[n_heap + np.arange(uniq.shape[0])] >> np.uint64(63 - level + depth)
+            acc ^= (flips & np.uint64(1))[inverse] << np.uint64(N_BITS - 1 - level)
         out[:, j] = x ^ acc
     return out
 

@@ -31,8 +31,10 @@ def test_traced_step_and_bench_count_the_seams_and_restore_them():
     with instrumented(tracer, builtin("sine"), replication_ids=True) as model:
         smc.step(smc.init_cloud(16, 0.0, 1), model, (1.0, 0.3, 0.5), (0.0, 1.0),
                  psi.PsiConfig(mode="rqmc-times-values", inner_points=4))
+        step_randomizations = tracer.calls["lowdisc.randomize"]
         bench.run_bench(model, bcfg, 5)
     assert tracer.calls["proposal.propose"] == 1          # one call per filter step
+    assert step_randomizations >= 1                       # digital shifts go through randomize
     assert tracer.calls["psi.estimate"] == 4              # 2 replications x 2 modes
     assert tracer.calls["models.big_a"] >= 2
     assert type(tracer.counts["proposal.rejections"]) is int
@@ -53,4 +55,4 @@ def test_owen_bench_randomizes_once_per_point_set_estimate():
     point_set_estimates = c["psi.estimates"] - c["psi.kappa_zero"] - c["psi.fallback"]
     assert point_set_estimates > 0
     assert tracer.calls["lowdisc.randomize"] == point_set_estimates
-    assert tracer.calls["rngs.fresh_seed"] == point_set_estimates
+    assert tracer.calls["rngs.fresh_seed"] == 0           # scrambles draw from the mode's stream

@@ -141,6 +141,16 @@ def test_snapshot_restore():
     assert br.value_at(0.2, rng) == dict(br.skeleton())[0.2]
 
 
+def test_insert_path_fills_a_two_point_skeleton_only():
+    br = LazyBridge(0.0, 0.5, 1.0, -0.5)
+    br.insert_path([0.25, 0.75], [1.0, 2.0])
+    assert br.skeleton() == [(0.0, 0.5), (0.25, 1.0), (0.75, 2.0), (1.0, -0.5)]
+    assert br.total_inserted == 2
+    with pytest.raises(ContractViolationError, match="two-point"):
+        br.insert_path([0.5], [0.0])
+    assert len(br) == 4 and br.total_inserted == 2
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8, unique=True),
        st.integers(0, 2**30))

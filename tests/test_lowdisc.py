@@ -84,7 +84,7 @@ def test_randomize_deterministic(scheme):
 
 @pytest.mark.parametrize("scheme,digest", [
     ("digital-shift", "955e28aa694e82209e0b1185abbc770dc248b5b5e7f493394eb8617900b82b87"),
-    ("owen-scramble", "9ae1ff6b9b068882ffdeb3133169039c0cd2bfae206b96bb574c44be6f171d13"),
+    ("owen-scramble", "92fc8e919bf6e5f8a4ce44122f0bdb8f9f3fd75d704ba0261d18f7f4b884b13b"),
 ])
 def test_memoized_base_is_read_only_and_randomizes_unchanged(scheme, digest):
     base = lowdisc.generate_base(5, 32)
@@ -94,8 +94,8 @@ def test_memoized_base_is_read_only_and_randomizes_unchanged(scheme, digest):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1
     assert np.all(base.points[0] == 0.0)
-    # digest of the randomized integer and float points, pinned before the
-    # base set was memoized
+    # digest of the randomized integer and float points (digital shift pinned
+    # before the base set was memoized, Owen when it moved to raw words)
     ps = lowdisc.randomize(base, scheme, 11)
     assert ps.points.flags.writeable and ps.ipoints.flags.writeable
     assert hashlib.sha256(ps.ipoints.tobytes() + ps.points.tobytes()).hexdigest() == digest
@@ -111,7 +111,8 @@ def _stream(seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64])
 def test_owen_scramble_matches_level_loop_oracle(dim):
-    for count in (1, 2, 3, 5, 8, 33, 64, 100, 1000):
+    # counts 1 (depth 0, no heap word), 64 (one heap word), 65 and 128 (two)
+    for count in (1, 2, 3, 5, 8, 33, 64, 65, 100, 128, 1000):
         base = lowdisc.generate_base(dim, count)
         for seed in (11, 2**62 + 7):
             expected_rng = _stream(seed)
@@ -119,10 +120,35 @@ def test_owen_scramble_matches_level_loop_oracle(dim):
             ps = lowdisc.randomize(base, "owen-scramble", seed)
             assert np.array_equal(ps.ipoints, expected), (count, seed)
             rng = _stream(seed)
-            lowdisc._owen_scramble(base, rng)
+            lowdisc.randomize(base, "owen-scramble", rng)
             # the stream is left where the loop leaves it, buffered half-word too
             assert rng.bit_generator.state == expected_rng.bit_generator.state
             assert rng.integers(0, 2**63) == expected_rng.integers(0, 2**63)
+
+
+@pytest.mark.parametrize("scheme", ["digital-shift", "owen-scramble"])
+def test_sets_from_one_draw_equal_single_set_draws(scheme):
+    for dim, count in [(1, 1), (3, 64), (7, 65), (64, 100)]:
+        base = lowdisc.generate_base(dim, count)
+        rng, twin = _stream(5), _stream(5)
+        many = lowdisc.randomize(base, scheme, rng, 4)
+        ones = [lowdisc.randomize(base, scheme, twin) for _ in range(4)]
+        assert many.points.shape == (4, count, dim) and many.seed is None
+        assert np.array_equal(many.ipoints, np.array([ps.ipoints for ps in ones]))
+        assert np.array_equal(many.points, np.array([ps.points for ps in ones]))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_owen_scramble_in_blocks_of_rows_takes_the_same_draw(monkeypatch):
+    base = lowdisc.generate_base(6, 100)
+    whole = lowdisc.randomize(base, "owen-scramble", _stream(8), 3)
+    monkeypatch.setattr(lowdisc, "_BLOCK_WORDS", 1)     # one row per block
+    rng = _stream(8)
+    rows = lowdisc.randomize(base, "owen-scramble", rng, 3)
+    assert np.array_equal(rows.ipoints, whole.ipoints)
+    twin = _stream(8)
+    twin.bit_generator.random_raw(3 * 6 * (2 + 100))   # 2 heap words, 100 point words
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_scramble_layout_holds_for_every_coordinate():
@@ -168,6 +194,8 @@ def test_randomize_rejects_randomized_input_and_bad_scheme():
         lowdisc.randomize(shifted, "digital-shift", 2)
     with pytest.raises(ValueError):
         lowdisc.randomize(base, "latin", 2)
+    with pytest.raises(ValueError, match="64-bit"):     # its raw words have 32 bits
+        lowdisc.randomize(base, "owen-scramble", np.random.Generator(np.random.MT19937(2)))
 
 
 def test_digital_shift_identity_and_half():

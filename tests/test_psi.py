@@ -10,7 +10,7 @@ from rwpf import lowdisc, psi
 from rwpf.bridge import _TINY, LazyBridge
 from rwpf.errors import ContractViolationError, NumericError, UnsupportedDimensionError
 from rwpf.models import builtin
-from rwpf.rngs import fresh_seed, stream
+from rwpf.rngs import stream
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -212,13 +212,9 @@ def test_mode_dispatch_guards():
 
 def _drawn_points(cfg, dim, rng):
     """The randomized point set an estimate on a batch of one draws from
-    ``rng``: a row of 53-bit digital shifts XORed into the base net, or an
-    Owen scramble seeded by one ``fresh_seed``."""
+    ``rng``: one set of ``lowdisc.randomize`` on that stream."""
     base = lowdisc.generate_base(dim, cfg.inner_points)
-    if cfg.randomization == "owen-scramble":
-        return lowdisc.randomize(base, cfg.randomization, fresh_seed(rng)).points
-    shifts = rng.integers(0, 2**53, size=dim, dtype=np.uint64)
-    return (base.ipoints ^ shifts).astype(np.float64) / 2.0**53
+    return lowdisc.randomize(base, cfg.randomization, rng, 1).points[0]
 
 
 def _reference_times_values(model, bridge, cfg, points, kappa):
@@ -477,21 +473,19 @@ def test_long_gap_overflow_is_numeric_failure():
 
 class _Replay:
     """A stream stand-in that hands one bridge its share of a kappa group's
-    draws, in the order an estimate on a batch of one asks for them."""
+    draws, in the order an estimate on a batch of one asks for them: its
+    point set (through ``_point_sets``), then its value uniforms."""
 
-    def __init__(self, *draws):
-        self.draws = list(draws)
+    def __init__(self, points, values):
+        self.points, self.values = points, values
 
     def random(self, shape):
-        return np.reshape(self.draws.pop(0), shape)
-
-    def integers(self, lo, hi, size=None, dtype=None):
-        return np.reshape(self.draws.pop(0), () if size is None else size)
+        return np.reshape(self.values, shape)
 
 
 @pytest.mark.parametrize("mode", psi.MODES)
 @pytest.mark.parametrize("scheme", ["digital-shift", "owen-scramble"])
-def test_estimate_cloud_matches_per_particle_estimates(mode, scheme):
+def test_estimate_cloud_matches_per_particle_estimates(monkeypatch, mode, scheme):
     # kappa cap 2 on a 2-unit gap: many particles fall back to mc
     sine = builtin("sine")
     cfg = psi.PsiConfig(mode=mode, inner_points=16, rqmc_kappa_cap=2,
@@ -503,20 +497,24 @@ def test_estimate_cloud_matches_per_particle_estimates(mode, scheme):
     cloud = _unstacked(psi.estimate_cloud(sine, 1.0, 3.0, x_a, x_b, cfg, cloud_rng))
     # the reference on a twin stream: the kappas as one array, then one
     # estimate_with_kappa per particle, kappa group by kappa group; a group
-    # that draws each bridge's uniforms as one row of an array draw matches
-    # a loop on the twin draw for draw, and an rqmc-times group draws its
-    # point sets before its value uniforms, so the reference draws them the
-    # same way and hands each bridge its rows
+    # that draws each bridge's uniforms or point set as one row of an array
+    # draw matches a loop on the twin draw for draw, and an rqmc-times group
+    # draws its point sets before its value uniforms, so the reference draws
+    # them the same way and hands each bridge its share
+    point_sets = psi._point_sets
+    monkeypatch.setattr(psi, "_point_sets", lambda mode, kappa, cfg, rng, g: (
+        rng.points[None] if isinstance(rng, _Replay) else
+        point_sets(mode, kappa, cfg, rng, g)))
     kappa = psi.sample_kappa(sine.phi_bounds, 1.0, 3.0, twin, n)
     ests = [None] * n
     for k in dict.fromkeys(kappa.tolist()):
         idx = np.flatnonzero(kappa == k).tolist()
         rngs = [twin] * len(idx)
         if mode == "rqmc-times" and 0 < k <= cfg.rqmc_kappa_cap:
-            sets = ([fresh_seed(twin) for _ in idx] if scheme == "owen-scramble" else
-                    twin.integers(0, 2**53, size=(len(idx), k), dtype=np.uint64))
+            sets = lowdisc.randomize(lowdisc.generate_base(k, cfg.inner_points), scheme,
+                                     twin, len(idx)).points
             values = twin.random((len(idx), cfg.inner_points * k))
-            rngs = [_Replay(s, v) for s, v in zip(sets, values)]
+            rngs = [_Replay(p, v) for p, v in zip(sets, values)]
         for i, rng in zip(idx, rngs):
             ests[i] = psi.estimate_with_kappa(sine, LazyBridge(1.0, x_a[i], 3.0, x_b[i]),
                                               cfg, rng, k)

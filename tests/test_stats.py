@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from rwpf.stats import invnorm, norm_logpdf
+from rwpf.stats import invnorm, logsumexp, norm_logpdf
 
 
 def test_invnorm_matches_scipy_ndtri():
@@ -43,3 +44,22 @@ def test_norm_logpdf_matches_scipy():
     for x, mean, var in [(0, 0, 1), (1.7, -0.3, 0.25), (-4, 2, 9.0)]:
         assert norm_logpdf(x, mean, var) == pytest.approx(
             norm.logpdf(x, loc=mean, scale=math.sqrt(var)), rel=1e-12)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cases = [np.full(5, -np.inf), np.array([3.0]), np.array([-np.inf]),
+             np.array([1.0, 1.0]), np.array([-np.inf, 2.0, 2.0]),
+             np.array([np.inf, 1.0]), np.array([np.nan, 1.0])]
+    for k in range(2000):
+        a = rng.normal(rng.normal(0.0, 50.0), rng.choice([0.1, 1.0, 10.0, 1e3]),
+                       int(rng.integers(1, 1100)))
+        if k % 3 == 0:
+            a[rng.random(a.size) < 0.3] = -np.inf         # zero-weight particles
+        if k % 5 == 0:
+            a[rng.integers(0, a.size, 3)] = a.max()       # ties at the max
+        if k % 7 == 0:
+            a = np.round(a)
+        cases.append(a)
+    for a in cases:
+        assert np.float64(logsumexp(a)).tobytes() == np.float64(scipy_logsumexp(a)).tobytes()
