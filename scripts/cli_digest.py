@@ -29,6 +29,7 @@ SINE = {"model": {"name": "sine"}, "x0": 0.0,
         "observation_times": {"count": 20, "spacing": 0.5},
         "noise_sd": 0.5, "particles": 256, "seed": 20240501}
 TANH = {**SINE, "model": {"name": "tanh"}}
+ZERO = {**SINE, "model": {"name": "zero"}}
 BENCH = {"x_a": 0.0, "x_b": 3.141592653589793, "a": 0.0, "b": 1.0,
          "inner_points_grid": [4, 16], "replications": 200,
          "modes": ["mc", "rqmc-times", "rqmc-times-values"]}
@@ -38,6 +39,7 @@ BENCH = {"x_a": 0.0, "x_b": 3.141592653589793, "a": 0.0, "b": 1.0,
 RUNS = [
     ("simulate-sine", ["simulate"], SINE),
     ("simulate-tanh", ["simulate"], TANH),
+    ("simulate-zero", ["simulate"], ZERO),
     ("filter-mc", ["filter", "--data", "simulate-sine/dataset.json"], SINE),
     ("filter-rqmc-shift", ["filter", "--data", "simulate-sine/dataset.json"],
      {**SINE, "psi": {"mode": "rqmc-times-values", "inner_points": 16,
@@ -46,6 +48,8 @@ RUNS = [
      {**TANH, "proposal": "tilted",
       "psi": {"mode": "rqmc-times-values", "inner_points": 16,
               "randomization": "owen-scramble"}}),
+    ("filter-zero-tilted", ["filter", "--data", "simulate-zero/dataset.json"],
+     {**ZERO, "proposal": "tilted"}),
     ("psi-bench-shift", ["psi-bench", "--dump-skeletons"],
      {**SINE, "bench": {**BENCH, "randomization": "digital-shift"}}),
     ("psi-bench-owen", ["psi-bench"],

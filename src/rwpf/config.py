@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import models, oracles, psi
 from .errors import ConfigError
-from .proposal import MODE_TILTED, PROPOSALS
+from .proposal import MODE_TILTED, PROPOSALS, supports_tilted
 from .smc import RESAMPLING_SCHEMES, FilterConfig, check_observation_times
 
 
@@ -347,9 +347,9 @@ def parse_config(raw: dict) -> RunConfig:
         oracle_settings(cfg.oracle)   # checked here, echoed as given
 
     model = cfg.build_model()  # validates name + params
-    if cfg.proposal == MODE_TILTED and model.tilted_log_normalizer is None:
+    if cfg.proposal == MODE_TILTED and not supports_tilted(model):
         raise ConfigError(
-            f"proposal: model {name!r} lacks tilted_normalizer; use \"gaussian\""
+            f"proposal: model {name!r} lacks a tilted sampler or normalizer; use \"gaussian\""
         )
     return cfg
 

@@ -2,7 +2,7 @@
 weight estimators need: the drift, its derivative and antiderivative,
 the path functional phi = (alpha^2 + alpha')/2 with global bounds, and
 optional closed-form extras (exact transition density, exact tilted
-sampler, tilted normalizing constant, rejection envelope).
+sampler, tilted normalizing constant).
 
 Models are immutable and validated once, by ``builtin`` or on entry to
 the filter and the benchmark: the (A, alpha, alpha') triple must pass
@@ -43,13 +43,11 @@ class DriftModel:
     params: dict = field(default_factory=dict)
     # log p_t(x_b | x_a); broadcasting over x_a/x_b
     exact_log_density: Callable | None = None
-    # (x_a, t, rng) -> x_b distributed prop. to N(x_b; x_a, t) exp{A(x_b)-A(x_a)}
+    # (x_a, t, rng) -> x_b distributed prop. to N(x_b; x_a, t) exp{A(x_b)-A(x_a)},
+    # one independent draw per element of the array x_a, in one array call
     tilted_sampler: Callable | None = None
     # (x_a, t) -> log of the tilted kernel's normalizing constant
     tilted_log_normalizer: Callable | None = None
-    # (x_a,) -> log B with B >= sup_x exp{A(x) - A(x_a)}; read only
-    # when there is no tilted_sampler
-    rejection_log_envelope: Callable | None = None
 
 
 def phi(model: DriftModel, u):
@@ -121,7 +119,7 @@ def _make_zero() -> DriftModel:
     zero_of = lambda u: np.zeros_like(np.asarray(u, dtype=float)) + 0.0
 
     def sampler(x_a, t, rng):
-        return x_a + math.sqrt(t) * rng.normal()
+        return x_a + math.sqrt(t) * rng.standard_normal(np.shape(x_a))
 
     return DriftModel(
         name="zero",
@@ -143,10 +141,13 @@ def _make_tanh() -> DriftModel:
 
     def sampler(x_a, t, rng):
         # p-tilde is the two-component Gaussian mixture
-        #   e^{x_a}/(2 cosh x_a) N(x_a + t, t) + e^{-x_a}/(2 cosh x_a) N(x_a - t, t)
-        w_plus = 1.0 / (1.0 + math.exp(-2.0 * x_a))
-        mean = x_a + t if rng.random() < w_plus else x_a - t
-        return mean + math.sqrt(t) * rng.normal()
+        #   e^{x_a}/(2 cosh x_a) N(x_a + t, t) + e^{-x_a}/(2 cosh x_a) N(x_a - t, t);
+        # below x_a = -354.9 the exp overflows to inf and w_plus is 0
+        with np.errstate(over="ignore"):
+            w_plus = 1.0 / (1.0 + np.exp(-2.0 * x_a))
+        u = rng.random(np.shape(x_a))
+        z = rng.standard_normal(np.shape(x_a))
+        return np.where(u < w_plus, x_a + t, x_a - t) + math.sqrt(t) * z
 
     return DriftModel(
         name="tanh",
@@ -191,7 +192,6 @@ def _make_scaled_sine(theta: float) -> DriftModel:
         phi_bounds=_scaled_sine_bounds(th),
         phi_scalar=phi_scalar,
         params={} if th == 1.0 else {"theta": th},
-        rejection_log_envelope=lambda x_a: 2.0 * abs(th),
     )
 
 

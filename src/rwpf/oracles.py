@@ -86,6 +86,8 @@ def euler_transition_histogram(model: DriftModel, x_a: float, t: float,
     Returns (density per cell, cell edges); mass outside the grid is
     dropped, so densities integrate to the covered fraction.
     """
+    if t <= 0:
+        raise ValueError("t must be > 0")
     if n_steps < 100:
         raise ValueError("n_steps must be >= 100")
     if n_paths < 1:

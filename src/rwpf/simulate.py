@@ -99,7 +99,7 @@ def simulate(cfg: RunConfig) -> Dataset:
              and model.tilted_sampler is not None)
     for t in times:
         if exact:
-            x = model.tilted_sampler(x, t - prev_t, rng)
+            x = float(model.tilted_sampler(x, t - prev_t, rng))
         else:
             ts, xs = _euler_segment(model, x, prev_t, t, cfg.euler_steps_per_unit, rng)
             x = float(xs[-1])

@@ -56,3 +56,15 @@ def test_owen_bench_randomizes_once_per_point_set_estimate():
     assert point_set_estimates > 0
     assert tracer.calls["lowdisc.randomize"] == point_set_estimates
     assert tracer.calls["rngs.fresh_seed"] == 0           # scrambles draw from the mode's stream
+
+
+def test_traced_tilted_step_reads_the_rejection_count():
+    # the tracer sums ProposalOutcome.n_rejections after every propose,
+    # the tilted branch included
+    tracer = Tracer()
+    with instrumented(tracer, builtin("tanh")) as model:
+        smc.step(smc.init_cloud(16, 0.0, 1), model, (1.0, 0.3, 0.5), (0.0, 1.0),
+                 psi.PsiConfig(), proposal_mode="tilted")
+    assert tracer.calls["proposal.propose"] == 1
+    rejections = tracer.counts["proposal.rejections"]
+    assert type(rejections) is int and rejections == 0

@@ -314,6 +314,31 @@ def test_long_gap_overflow_exits_3(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_tanh_far_below_origin_simulates_and_filters(tmp_path):
+    # the tanh tilted draw computes exp(-2 x), which overflows below x = -354.9
+    cfg = _write_config(tmp_path / "cfg.json", model={"name": "tanh"}, x0=-400.0)
+    out = tmp_path / "out"
+    r = _run("simulate", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    latent = json.loads((out / "dataset.json").read_text())["latent"]
+    assert len(latent) == 3 and all(math.isfinite(x) for x in latent)
+    cfg = _write_config(tmp_path / "cfg.json", model={"name": "tanh"}, x0=-400.0,
+                        proposal="tilted")
+    r = _run("filter", "--config", str(cfg), "--data", str(out / "dataset.json"),
+             "--out", str(out))
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_transition_histogram_needs_positive_t(tmp_path, t):
+    cfg = _write_config(tmp_path / "cfg.json", extra={"oracle": {
+        "kind": "transition-histogram", "x_a": 0.0, "t": t,
+        "grid": {"lo": -4.0, "hi": 4.0, "n_cells": 64}}})
+    r = _run("oracle", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert r.stderr == "config error: oracle: t must be > 0\n", r.stderr
+
+
 def test_psi_bench_requires_section(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     r = _run("psi-bench", "--config", str(cfg), "--out", str(tmp_path / "o"))

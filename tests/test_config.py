@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rwpf import models
 from rwpf.config import ConfigError, content_hash, parse_config
 from rwpf.models import exact_transition_density, builtin
 from rwpf.simulate import Dataset, simulate
@@ -131,10 +134,15 @@ def test_bench_modes_must_be_distinct():
     assert cfg.bench.modes == ("mc", "rqmc-times-values")
 
 
-def test_tilted_requires_normalizer_capability():
+def test_tilted_requires_normalizer_capability(monkeypatch):
     with pytest.raises(ConfigError, match="tilted"):
-        parse_config(_base_config(proposal="tilted"))  # sine lacks normalizer
+        parse_config(_base_config(proposal="tilted"))  # sine lacks both
     parse_config(_base_config(proposal="tilted", model={"name": "tanh"}))
+    # a normalizer without an exact sampler is refused too
+    no_sampler = dataclasses.replace(builtin("tanh"), tilted_sampler=None)
+    monkeypatch.setattr(models, "builtin", lambda name, **params: no_sampler)
+    with pytest.raises(ConfigError, match="tilted"):
+        parse_config(_base_config(proposal="tilted", model={"name": "tanh"}))
 
 
 def test_hash_sensitivity():

@@ -93,7 +93,6 @@ def test_capabilities():
     assert builtin("tanh").exact_log_density is not None
     assert builtin("tanh").tilted_log_normalizer is not None
     assert builtin("sine").exact_log_density is None
-    assert builtin("sine").rejection_log_envelope is not None
 
 
 def test_unbounded_phi_rejected_at_registration():

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest
 
 from rwpf import proposal, smc
-from rwpf.errors import NumericError, UnsupportedOperationError
-from rwpf.models import DriftModel, builtin, exact_transition_density
+from rwpf.errors import UnsupportedOperationError
+from rwpf.models import builtin, exact_transition_density
 from rwpf.psi import PsiConfig
 from rwpf.rngs import stream
 from rwpf.stats import norm_logpdf
@@ -31,7 +30,7 @@ def test_gaussian_zero_drift_weight_factor():
     for _ in range(50):
         out = _propose_one(zero, 0.3, 0.0, 1.0, rng, "gaussian")
         assert out.log_weight_factor == 0.0
-        assert out.mode == "gaussian" and out.n_rejections == 0
+        assert out.n_rejections == 0
 
 
 def test_gaussian_tanh_weight_factor_matches_quadrature():
@@ -62,7 +61,6 @@ def test_tilted_tanh_exact():
     tanh = builtin("tanh")
     rng = stream(4, 0)
     out = _propose_one(tanh, 0.7, 0.0, 1.0, rng, "tilted")
-    assert out.mode == "tilted-exact"
     assert out.log_weight_factor == 0.5  # t/2 exactly, any x_a
     out2 = _propose_one(tanh, -3.0, 1.0, 3.5, rng, "tilted")
     assert out2.log_weight_factor == 1.25
@@ -91,7 +89,6 @@ def test_tilted_zero_is_gaussian():
     rng = stream(6, 0)
     out = _propose_one(zero, 1.0, 0.0, 1.0, rng, "tilted")
     assert out.log_weight_factor == 0.0
-    assert out.mode == "tilted-exact"
 
 
 def test_tilted_sine_unsupported_for_weighting():
@@ -100,37 +97,20 @@ def test_tilted_sine_unsupported_for_weighting():
         proposal.propose(sine, [0.0], 0.0, 1.0, stream(7, 0), "tilted")
 
 
-def test_sine_rejection_sampler_against_quadrature():
-    sine = builtin("sine")
-    rng = stream(8, 0)
-    n = 100_000
-    draws = np.empty(n)
-    n_rej = 0
-    for i in range(n):
-        x, rej, mode = proposal.sample_tilted(sine, 0.0, 0.0, 1.0, rng)
-        draws[i] = x
-        n_rej += rej
-        assert mode == "tilted-rejection"
-    assert n_rej > 0
+def test_tilted_normalizer_without_sampler_unsupported():
+    no_sampler = dataclasses.replace(builtin("tanh"), tilted_sampler=None)
+    with pytest.raises(UnsupportedOperationError):
+        proposal.propose(no_sampler, [0.0], 0.0, 1.0, stream(7, 1), "tilted")
 
-    # target density prop. to N(x; 0, 1) exp{cos(0) - cos(x)}
-    def unnorm(x):
-        return norm_pdf(x, 0.0, 1.0) * math.exp(1.0 - math.cos(x))
 
-    z, _ = quad(unnorm, -9.0, 9.0, limit=200)
-    # acceptance rate z / e^2 under the envelope e^2, estimated over all
-    # n + n_rej trials
-    trials = n + n_rej
-    target = z / math.exp(2.0)
-    assert abs(n / trials - target) < 4 * math.sqrt(target * (1 - target) / trials)
-
-    xs = np.linspace(-9.0, 9.0, 20_001)
-    pdf = np.array([unnorm(x) for x in xs]) / z
-    cdf_grid = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2
-                                                * np.diff(xs))])
-    cdf_grid /= cdf_grid[-1]
-    stat = kstest(draws, lambda v: np.interp(v, xs, cdf_grid))
-    assert stat.pvalue > 1e-3
+def test_tilted_tanh_far_from_origin():
+    # exp(-2 x_a) overflows below x_a = -354.9; the mixture weight of the
+    # x_a + t component is then 0 (and 1 at x_a = +400)
+    tanh = builtin("tanh")
+    x_a = np.array([-400.0, 400.0])
+    for seed in range(20):
+        x_b = proposal.propose(tanh, x_a, 0.0, 1.0, stream(15, seed), "tilted").x_b
+        assert np.all(np.abs(x_b - (x_a + np.array([-1.0, 1.0]))) < 6.0)
 
 
 def test_weighting_identity_tanh():
@@ -167,42 +147,6 @@ def test_mode_equivalence_tanh_filter():
     assert abs(diff) < 4 * se
 
 
-def test_understated_envelope_is_numeric_failure():
-    # the sine tilt exp{cos(x_a) - cos(z)} reaches e^2, above the declared e^0.5
-    understated = DriftModel(
-        name="understated",
-        alpha=np.sin, alpha_prime=np.cos,
-        big_a=lambda u: 1.0 - np.cos(u),
-        phi_bounds=(-0.5, 0.625),
-        phi_scalar=lambda u: (math.sin(u) ** 2 + math.cos(u)) / 2.0,
-        rejection_log_envelope=lambda x_a: 0.5,
-    )
-    rng = stream(9, 0)
-    with pytest.raises(NumericError, match=r"'understated'.*x_a=0\.0"):
-        for _ in range(1000):
-            proposal.sample_tilted(understated, 0.0, 0.0, 1.0, rng)
-    # with neither a sampler nor an envelope there is nothing to draw from
-    bare = dataclasses.replace(understated, rejection_log_envelope=None)
-    with pytest.raises(UnsupportedOperationError):
-        proposal.sample_tilted(bare, 0.0, 0.0, 1.0, rng)
-
-
-def test_rejection_trial_cap_surfaces_as_error(monkeypatch):
-    # an absurdly loose envelope makes acceptance ~ e^{-30}: the capped
-    # loop must error out instead of hanging
-    sluggish = DriftModel(
-        name="sluggish",
-        alpha=np.sin, alpha_prime=np.cos,
-        big_a=lambda u: 1.0 - np.cos(u),
-        phi_bounds=(-0.5, 0.625),
-        phi_scalar=lambda u: (math.sin(u) ** 2 + math.cos(u)) / 2.0,
-        rejection_log_envelope=lambda x_a: 30.0,
-    )
-    monkeypatch.setattr(proposal, "MAX_REJECTION_TRIALS", 1000)
-    with pytest.raises(NumericError, match="exceeded"):
-        proposal.sample_tilted(sluggish, 0.0, 0.0, 1.0, stream(14, 0))
-
-
 def test_unknown_mode_and_bad_interval():
     zero = builtin("zero")
     with pytest.raises(ValueError):
@@ -213,31 +157,28 @@ def test_unknown_mode_and_bad_interval():
 
 @pytest.mark.parametrize("name,mode", [
     ("sine", "gaussian"), ("tanh", "gaussian"), ("tanh", "tilted"), ("zero", "tilted"),
-    ("sine-with-normalizer", "tilted"),   # the rejection sampler, particle by particle
 ])
 def test_cloud_propose_matches_per_stream_loop(name, mode):
     # the reference on a twin stream: x_a + sqrt(t) z with z one array of
-    # normals, or a sequential sample_tilted loop
-    if name == "sine-with-normalizer":
-        model = dataclasses.replace(builtin("sine"), tilted_log_normalizer=lambda x_a, t: 0.25)
-    else:
-        model = builtin(name)
+    # normals; tanh's tilted mixture first draws one array of uniforms
+    # that pick each particle's component, x_a + t or x_a - t
+    model = builtin(name)
     n, a, b = 64, 0.5, 1.75
     x_a = np.linspace(-3.0, 3.0, n)
     cloud_rng, loop_rng = stream(30, 0), stream(30, 0)
     out = proposal.propose(model, x_a, a, b, cloud_rng, mode)
     assert out.x_b.shape == out.log_weight_factor.shape == (n,)
-    rejections = 0
-    z = loop_rng.standard_normal(n) if mode == "gaussian" else None
+    u = loop_rng.random(n) if (name, mode) == ("tanh", "tilted") else None
+    z = loop_rng.standard_normal(n)
     for i, x in enumerate(x_a.tolist()):
+        mean = x
+        if u is not None:
+            mean = x + (b - a) if u[i] < 1 / (1 + math.exp(-2 * x)) else x - (b - a)
+        x_b = mean + math.sqrt(b - a) * z[i]
         if mode == "gaussian":
-            x_b = x + math.sqrt(b - a) * z[i]
             lwf = float(model.big_a(x_b) - model.big_a(x))
         else:
-            x_b, n_rej, _ = proposal.sample_tilted(model, x, a, b, loop_rng)
             lwf = float(model.tilted_log_normalizer(x, b - a))
-            rejections += n_rej
         assert (out.x_b[i], out.log_weight_factor[i]) == (x_b, lwf), i
-    assert type(out.n_rejections) is int and out.n_rejections == rejections
-    assert (rejections > 0) == (name == "sine-with-normalizer")
+    assert type(out.n_rejections) is int and out.n_rejections == 0
     assert cloud_rng.random() == loop_rng.random()
