@@ -28,6 +28,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SINE = {"model": {"name": "sine"}, "x0": 0.0,
         "observation_times": {"count": 20, "spacing": 0.5},
         "noise_sd": 0.5, "particles": 256, "seed": 20240501}
+# wider gaps: kappa is often above a cap of 1
+SINE_WIDE = {**SINE, "observation_times": {"count": 20, "spacing": 2.0}}
 TANH = {**SINE, "model": {"name": "tanh"}}
 ZERO = {**SINE, "model": {"name": "zero"}}
 BENCH = {"x_a": 0.0, "x_b": 3.141592653589793, "a": 0.0, "b": 1.0,
@@ -40,10 +42,19 @@ RUNS = [
     ("simulate-sine", ["simulate"], SINE),
     ("simulate-tanh", ["simulate"], TANH),
     ("simulate-zero", ["simulate"], ZERO),
+    ("simulate-sine-wide", ["simulate"], SINE_WIDE),
     ("filter-mc", ["filter", "--data", "simulate-sine/dataset.json"], SINE),
     ("filter-rqmc-shift", ["filter", "--data", "simulate-sine/dataset.json"],
      {**SINE, "psi": {"mode": "rqmc-times-values", "inner_points": 16,
                       "randomization": "digital-shift"}}),
+    # point sets build the shared path
+    ("filter-rqmc-times", ["filter", "--data", "simulate-sine/dataset.json"],
+     {**SINE, "psi": {"mode": "rqmc-times", "inner_points": 16,
+                      "randomization": "digital-shift"}}),
+    # per-point and mc-fallback rows in one step
+    ("filter-rqmc-cap1", ["filter", "--data", "simulate-sine-wide/dataset.json"],
+     {**SINE_WIDE, "psi": {"mode": "rqmc-times-values", "inner_points": 16,
+                           "kappa_cap": 1}}),
     ("filter-tanh-tilted-owen", ["filter", "--data", "simulate-tanh/dataset.json"],
      {**TANH, "proposal": "tilted",
       "psi": {"mode": "rqmc-times-values", "inner_points": 16,

@@ -25,9 +25,18 @@ bridge uniforms, and in whether the M products share one path:
   as a time collision.
 
 Each path is sampled left to right over its sorted (time, value uniform)
-pairs by one array kernel, many bridges at one kappa at a time. On a
-shared path a repeated time, or one equal to a or b, takes the value
-already known, as a lazily refined skeleton would.
+pairs. On a shared path a repeated time, or one equal to a or b, takes
+the value already known, as a lazily refined skeleton would.
+
+One array kernel weights every bridge of a call in one pass. Each
+distinct nonzero kappa is a group that draws its uniforms, or all its
+randomized point sets, as one array, in order of first appearance. The
+groups' sorted paths lie one after another in one flat array of slots,
+and the elementwise body (times, nudges, ``ndtri``, the recursion's
+coefficients, ``phi`` and the bound check) runs once over all of them.
+Only the draws, the row sort, the row cumulative sum and each point's
+product run per group, on rectangular views, so a bridge's estimate does
+not depend on which other bridges share the call.
 
 There are three entry points. ``estimate`` draws kappa itself and
 ``estimate_with_kappa`` takes one drawn by the caller (the paired
@@ -35,12 +44,12 @@ benchmark offers the same kappa to every mode); both run the kernel on a
 batch of one, return scalar fields and write the fresh points of the
 shared path into the caller's ``LazyBridge``. ``estimate_cloud`` does
 ``estimate``'s work for a whole particle cloud on one stream: the N
-kappas are one Poisson draw, and each kappa group takes its uniforms,
-or all its randomized point sets, as one array draw; it returns one
+kappas are one Poisson draw, then one kernel pass; it returns one
 estimate whose fields are arrays over the cloud. kappa is always
-pseudo-random, never taken from the point set. Above the configured kappa cap the point-set modes fall
-back to plain MC (tagged ``mc-fallback``), reflecting that the point-set
-route only pays off when kappa is small.
+pseudo-random, never taken from the point set. Above the configured
+kappa cap the point-set modes fall back to plain MC (tagged
+``mc-fallback``), reflecting that the point-set route only pays off when
+kappa is small.
 """
 
 import math
@@ -149,16 +158,26 @@ def _uniforms(mode: str, kappa: int, cfg: PsiConfig, rng, g: int
     return draws[:, :n], draws[:, n:]
 
 
-def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarray,
-           cfg: PsiConfig, rng, kappa: int):
-    """The estimator body: estimates for the bridges from (a, x_a[i]) to
-    (b, x_b[i]) at one kappa, all drawing from ``rng``.
+def _at_base(kappa: np.ndarray, base: float, mode: str) -> PsiEstimate:
+    """Estimates for bridges without times: each is e^{-L(b-a)}, with no queries."""
+    n = len(kappa)
+    return PsiEstimate(np.full(n, base), kappa, np.full(n, mode, dtype=object),
+                       np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
-    Returns the mode run, the values, bridge queries and time collisions
-    as arrays over the bridges, and, when kappa > 0, the paths as arrays
-    of times, values and fresh-time flags, one row per path sorted by
-    time: g rows of M * kappa when each bridge has one shared path,
-    g * M rows of kappa when each point has its own.
+
+def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarray,
+            kappa: np.ndarray, cfg: PsiConfig, rng):
+    """The estimator body: estimates for the bridges from (a, x_a[i]) to
+    (b, x_b[i]) with kappa[i] times each, all drawing from ``rng``.
+
+    A kappa group's paths are rows of one width: g rows of M * kappa when
+    each bridge has one shared path, g * M rows of kappa when each point
+    has its own. The sorted rows of all groups, group after group, are the
+    slots of one flat array.
+
+    Returns a PsiEstimate whose fields are arrays over the bridges and,
+    when some kappa is nonzero, the paths as flat slot arrays of times,
+    values and fresh-time flags.
 
     Each path is sampled over its sorted times t_1 <= ... <= t_n with the
     closed form of the left-to-right conditional recursion,
@@ -178,74 +197,129 @@ def _group(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndarr
             f"weight factor e^(-L(b-a)) overflows for model {model.name!r} "
             f"on a gap of b-a={span} (L={lo})"
         ) from None
-    mode, g, m = cfg.mode, len(x_a), cfg.inner_points
-    if kappa == 0:
-        zeros = np.zeros(g, dtype=np.int64)
-        return mode, np.full(g, base), zeros, zeros, None
-    if mode != MODE_MC and kappa > cfg.rqmc_kappa_cap:
-        mode = MODE_MC_FALLBACK
+    n, m = len(kappa), cfg.inner_points
+    kappas = dict.fromkeys(kappa.tolist())
+    whole = len(kappas) == 1          # one kappa for every bridge: nothing to gather
+    groups, parts, size, n_per_point = [], [], 0, 0
+    for k in kappas:
+        if k == 0:
+            continue
+        idx = slice(None) if whole else np.nonzero(kappa == k)[0]
+        g = n if whole else len(idx)
+        mode = cfg.mode
+        if mode != MODE_MC and k > cfg.rqmc_kappa_cap:
+            mode = MODE_MC_FALLBACK
+        per_point = mode == MODE_RQMC_TIMES_VALUES
+        n_per_point += per_point
+        width = k if per_point else m * k     # times per path
+        u_time, u_val = (u.reshape(-1, width) for u in _uniforms(mode, k, cfg, rng, g))
+        order = np.lexsort((u_val, u_time), axis=-1)
+        starts = np.arange(size, size + u_time.size, width)
+        order += starts[:, None]              # flat slot indices
+        groups.append((size, size + u_time.size, g, k, width, mode, idx))
+        parts.append((u_time.reshape(-1), u_val.reshape(-1), order.reshape(-1), starts,
+                      starts[::m] if per_point else starts))   # each bridge's first slot
+        size += u_time.size
+    if not groups:
+        return _at_base(kappa, base, cfg.mode), None
 
-    u_time, u_val = _uniforms(mode, kappa, cfg, rng, g)
-    shared = mode != MODE_RQMC_TIMES_VALUES
-    width = m * kappa if shared else kappa     # times per path
-    order = np.lexsort((u_val.reshape(-1, width), u_time.reshape(-1, width)), axis=-1)
-    order += np.arange(0, u_time.size, width).reshape(-1, 1)   # flat indices
-    u_time = u_time.reshape(-1)[order]
+    # each field as one array in group order; one group's are not copied
+    u_time, u_val, order, row_starts, first = (
+        parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)])
+    u_time = u_time[order]
     times = np.minimum(a + span * u_time, b)   # u near 1 can round past b
-    nudges = np.zeros(len(times), dtype=np.int64)
+    if n_per_point == len(groups):
+        per_point_slots = True
+    elif n_per_point == 0:
+        per_point_slots = None
+    else:                                      # per-point rows beside mc-fallback rows
+        per_point_slots = np.repeat(
+            [mode == MODE_RQMC_TIMES_VALUES for *_, mode, _ in groups],
+            [end - start for start, end, *_ in groups])
+    nudges = None                              # per slot, once a time has moved
+    prev = np.empty_like(times)
     while True:
-        step = np.empty_like(times)
-        step[:, 0] = times[:, 0] - a
-        step[:, 1:] = times[:, 1:] - times[:, :-1]
-        rem = b - times                            # b - t_{j-1} = rem + step
+        prev[1:] = times[:-1]
+        prev[row_starts] = a
+        step = times - prev
+        rem = b - times                        # b - t_{j-1} = rem + step
         fresh = (step > 0.0) & (rem > 0.0)
-        if shared or fresh.all():
+        if per_point_slots is None or fresh.all():
+            break
+        stuck = ~fresh & per_point_slots
+        if not stuck.any():
             break
         # a time already on its point's path moves up by one ulp of its
         # uniform; times only move up, so moving every stuck one at once
         # ends where moving them left to right does, after as many nudges
-        u_time = np.where(fresh, u_time, np.nextafter(u_time, 2.0))
-        times = a + span * u_time
+        u_time[stuck] = np.nextafter(u_time[stuck], 2.0)
+        times[stuck] = a + span * u_time[stuck]
         if (times > b).any():
             raise NumericError("time collision walked past the interval end")
-        nudges += (~fresh).sum(axis=1)
-    z = ndtri(np.maximum(u_val.reshape(-1)[order], _TINY))
+        nudges = stuck.astype(np.int64) if nudges is None else nudges + stuck
+    z = ndtri(np.maximum(u_val[order], _TINY))
     # zero where the time is not fresh, so it keeps the value on the path
     coef = np.sqrt(step / np.where(fresh, (rem + step) * rem, np.inf))
-    w_a, w_b = (np.repeat(x, len(times) // g)[:, None] for x in (x_a, x_b))
-    w = w_b - rem * ((w_b - w_a) / span - np.cumsum(coef * z, axis=-1))
+    walk = coef * z
+    for start, end, _, _, width, _, _ in groups:
+        rows = walk[start:end].reshape(-1, width)
+        rows.cumsum(axis=-1, out=rows)
+    if whole:
+        _, _, _, k, _, mode, perm = groups[0]
+        slots = m * k
+    else:
+        perm = np.concatenate([idx for *_, idx in groups])
+        slots = m * kappa[perm]
+    w_a, w_b = x_a[perm].repeat(slots), x_b[perm].repeat(slots)
+    w = w_b - rem * ((w_b - w_a) / span - walk)
 
     gap = hi - phi(model, w)
-    over = gap < -PHI_TOL
-    if over.any():
+    if gap.min() < -PHI_TOL:
+        over = gap < -PHI_TOL
         raise NumericError(
             f"model {model.name!r}: phi(w) exceeds its upper bound U={hi} "
             f"at w={float(w[over][0])!r}; declared phi bounds are violated"
         )
-    factors = np.empty(gap.size)                # back to each point's slots
+    factors = np.empty(size)                   # back to each point's slots
     factors[order] = np.maximum(gap, 0.0) * (1.0 / (hi - lo))
-    values = base * (factors.reshape(g, m, kappa).prod(axis=-1).sum(axis=-1) / m)
+    sums = [factors[start:end].reshape(g, m, k).prod(axis=-1).sum(axis=-1)
+            for start, end, g, k, _, _, _ in groups]
+    values = base * ((sums[0] if len(sums) == 1 else np.concatenate(sums)) / m)
     finite = np.isfinite(values)
     if not finite.all():
         raise NumericError(f"psi estimate is not finite: {float(values[~finite][0])!r}")
-    return (mode, values, fresh.reshape(g, -1).sum(axis=1),
-            nudges.reshape(g, -1).sum(axis=1), (times, w, fresh))
+    queries = np.add.reduceat(fresh, first, dtype=np.int64)
+    collisions = (np.zeros(len(values), dtype=np.int64) if nudges is None
+                  else np.add.reduceat(nudges, first))
+    path = (times, w, fresh)
+    if whole:
+        return PsiEstimate(values, kappa, np.full(n, mode, dtype=object),
+                           queries, collisions), path
+    est = _at_base(kappa, base, cfg.mode)
+    est.value[perm], est.n_bridge_queries[perm], est.n_time_collisions[perm] = (
+        values, queries, collisions)
+    for _, _, _, _, _, mode, idx in groups:
+        if mode == MODE_MC_FALLBACK:
+            est.mode[idx] = mode
+    return est, path
 
 
 def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
               kappa: int) -> PsiEstimate:
-    """The body on a batch of one; the shared path's fresh points are
+    """The kernel on a batch of one; the shared path's fresh points are
     inserted into ``bridge``."""
     if len(bridge) > 2:
         raise ContractViolationError(
             f"psi needs a two-point skeleton, got {len(bridge)} points"
         )
-    mode, *fields, path = _group(model, bridge.a, bridge.b, np.array([bridge.x_a]),
-                                 np.array([bridge.x_b]), cfg, rng, kappa)
-    if kappa and mode != MODE_RQMC_TIMES_VALUES:
+    est, path = _kernel(model, bridge.a, bridge.b, np.array([bridge.x_a]),
+                        np.array([bridge.x_b]), np.array([kappa]), cfg, rng)
+    mode = est.mode[0]
+    if path is not None and mode != MODE_RQMC_TIMES_VALUES:
         times, w, fresh = path
-        bridge.insert_path(times[0, fresh[0]].tolist(), w[0, fresh[0]].tolist())
-    [value], [queries], [collisions] = (x.tolist() for x in fields)
+        bridge.insert_path(times[fresh].tolist(), w[fresh].tolist())
+    [value], [queries], [collisions] = (x.tolist() for x in (
+        est.value, est.n_bridge_queries, est.n_time_collisions))
     return PsiEstimate(value, kappa, mode, queries, collisions)
 
 
@@ -274,19 +348,12 @@ def estimate_cloud(model: DriftModel, a: float, b: float, x_a, x_b,
     """Estimates for a cloud: bridge i runs from (a, x_a[i]) to (b, x_b[i]);
     every field is an array over the bridges.
 
-    Draws from ``rng`` in this order: every kappa as one array, then one
-    body call per distinct kappa, in order of first appearance, so a
-    dimension error names the kappa of the first particle whose point set
-    is too large.
+    Draws from ``rng`` in this order: every kappa as one array, then each
+    distinct nonzero kappa's uniforms or point sets as one array, in order
+    of first appearance, so a dimension error names the kappa of the first
+    particle whose point set is too large. One kernel pass then weights
+    the whole cloud.
     """
     x_a, x_b = np.asarray(x_a, dtype=np.float64), np.asarray(x_b, dtype=np.float64)
-    n = len(x_a)
-    kappa = sample_kappa(model.phi_bounds, a, b, rng, n)
-    out = PsiEstimate(np.empty(n), kappa, np.full(n, cfg.mode, dtype=object),
-                      np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
-    for k in dict.fromkeys(kappa.tolist()):
-        idx = np.flatnonzero(kappa == k)
-        (out.mode[idx], out.value[idx], out.n_bridge_queries[idx],
-         out.n_time_collisions[idx], _) = _group(
-            model, a, b, x_a[idx], x_b[idx], cfg, rng, k)
-    return out
+    kappa = sample_kappa(model.phi_bounds, a, b, rng, len(x_a))
+    return _kernel(model, a, b, x_a, x_b, kappa, cfg, rng)[0]

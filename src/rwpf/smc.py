@@ -95,21 +95,19 @@ def init_cloud(n: int, x0: float, master_seed: int) -> ParticleCloud:
     return ParticleCloud(np.full(n, float(x0)), np.zeros(n), rng, resample_rng)
 
 
-def ess(log_weights: np.ndarray) -> float:
-    """(sum w)^2 / sum w^2 of the normalized weights, computed stably."""
-    lw = np.asarray(log_weights, dtype=float)
-    m = np.max(lw)
+def _weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The normalized weights and their ESS, from one exp of the log-weights."""
+    m = np.max(log_weights)
     if m == -np.inf:
         raise ValueError("all log-weights are -inf")
-    w = np.exp(lw - m)
-    s = w.sum()
-    return float(s * s / np.sum(w * w))
-
-
-def _normalized(log_weights: np.ndarray) -> np.ndarray:
-    m = np.max(log_weights)
     w = np.exp(log_weights - m)
-    return w / w.sum()
+    s = w.sum()
+    return w / s, float(s * s / np.sum(w * w))
+
+
+def ess(log_weights: np.ndarray) -> float:
+    """(sum w)^2 / sum w^2 of the normalized weights, computed stably."""
+    return _weights(np.asarray(log_weights, dtype=float))[1]
 
 
 def pivot_indices(weights: np.ndarray, u) -> np.ndarray:
@@ -129,7 +127,7 @@ def resample(cloud: ParticleCloud, scheme: str, rng) -> ParticleCloud:
     """Draw N offspring and reset weights to uniform. Offspring of one
     ancestor take separate entries of every later array draw, so they
     evolve independently afterwards."""
-    w = _normalized(cloud.log_weights)
+    w, _ = _weights(cloud.log_weights)
     if scheme == "multinomial":
         idx = multinomial_indices(w, rng)
     elif scheme == "systematic":
@@ -172,10 +170,9 @@ def step(cloud: ParticleCloud, model: DriftModel, obs: tuple[float, float, float
         )
 
     new_lw = cloud.log_weights + incr
-    w = _normalized(new_lw)
+    w, ess_val = _weights(new_lw)
     post_mean = float(np.dot(w, new_pos))
     post_var = float(np.dot(w, (new_pos - post_mean) ** 2))
-    ess_val = ess(new_lw)
 
     new_cloud = ParticleCloud(new_pos, new_lw, cloud.rng, cloud.resample_rng,
                               cloud.step_index + 1)

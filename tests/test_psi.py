@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -523,3 +524,68 @@ def test_estimate_cloud_matches_per_particle_estimates(monkeypatch, mode, scheme
     assert cloud_rng.random() == twin.random()
     if mode != "mc":
         assert 0 < sum(e.mode == "mc-fallback" for e in cloud) < n
+
+
+def test_cloud_nudges_stay_in_their_kappa_group(monkeypatch):
+    # one cloud holds kappa 0, per-point groups (kappa 3 with forced time
+    # collisions) and mc-fallback groups above the cap of 3, whose shared
+    # paths each repeat a time; each particle equals its own estimate on a
+    # batch of one, so a nudge in one group moves nothing in another
+    _fixed_points(monkeypatch, [[0.4375, 0.4375, 0.4375, 0.1, 0.9, 0.5],
+                                [0.25, 0.75, 0.25, 0.0, 0.3, 0.6]])
+    uniforms = psi._uniforms
+
+    def repeated(mode, kappa, cfg, rng, g):
+        u_time, u_val = uniforms(mode, kappa, cfg, rng, g)
+        if mode == psi.MODE_MC_FALLBACK:
+            u_time = u_time.copy()
+            u_time[:, 1] = u_time[:, 0]
+        return u_time, u_val
+
+    monkeypatch.setattr(psi, "_uniforms", repeated)
+    sine = builtin("sine")
+    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=2, rqmc_kappa_cap=3)
+    a, b, n = 0.0, 3.0, 128
+    x_a, x_b = np.linspace(-2.0, 2.0, n), np.cos(np.arange(n))
+    cloud_rng, twin = stream(24, 0), stream(24, 0)
+    cloud = _unstacked(psi.estimate_cloud(sine, a, b, x_a, x_b, cfg, cloud_rng))
+    kappa = psi.sample_kappa(sine.phi_bounds, a, b, twin, n)
+    ests = [None] * n
+    for k in dict.fromkeys(kappa.tolist()):
+        for i in np.flatnonzero(kappa == k).tolist():
+            ests[i] = psi.estimate_with_kappa(sine, LazyBridge(a, x_a[i], b, x_b[i]),
+                                              cfg, twin, k)
+    assert cloud == ests
+    assert cloud_rng.random() == twin.random()
+    kappas = {e.kappa for e in cloud}
+    assert {0, 1, 2, 3} <= kappas and max(kappas) > 3
+    for e in cloud:
+        if e.kappa == 3:
+            assert e.mode == "rqmc-times-values" and e.n_time_collisions >= 2
+        elif e.kappa > 3:
+            assert e.mode == "mc-fallback" and e.n_time_collisions == 0
+            assert e.n_bridge_queries < cfg.inner_points * e.kappa  # the repeat is known
+
+
+def test_estimate_cloud_is_one_kernel_pass(monkeypatch):
+    # however many kappa groups a cloud has, ndtri and phi run once over
+    # all of their slots
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(psi, "ndtri", counted("ndtri", psi.ndtri))
+    sine = builtin("sine")
+    model = dataclasses.replace(sine, alpha=counted("alpha", sine.alpha))
+    n = 64
+    x_a, x_b = np.linspace(-2.0, 2.0, n), np.cos(np.arange(n))
+    for mode in psi.MODES:
+        cfg = psi.PsiConfig(mode=mode, inner_points=4, rqmc_kappa_cap=2)
+        calls.clear()
+        est = psi.estimate_cloud(model, 0.0, 2.0, x_a, x_b, cfg, stream(25, 0))
+        assert len(set(est.kappa.tolist()) - {0}) >= 3
+        assert calls == {"ndtri": 1, "alpha": 1}, mode
