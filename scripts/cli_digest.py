@@ -65,6 +65,13 @@ RUNS = [
      {**SINE, "bench": {**BENCH, "randomization": "digital-shift"}}),
     ("psi-bench-owen", ["psi-bench"],
      {**SINE, "bench": {**BENCH, "randomization": "owen-scramble"}}),
+    # the point-set values alone: no mc or rqmc-times draws on their streams
+    ("psi-bench-rqv-shift", ["psi-bench"],
+     {**SINE, "bench": {**BENCH, "modes": ["rqmc-times-values"],
+                        "randomization": "digital-shift"}}),
+    ("psi-bench-rqv-owen", ["psi-bench"],
+     {**SINE, "bench": {**BENCH, "modes": ["rqmc-times-values"],
+                        "randomization": "owen-scramble"}}),
     ("qmc-dump-none", ["qmc-dump", "--dimension", "8", "--count", "100"], None),
     ("qmc-dump-shift", ["qmc-dump", "--dimension", "8", "--count", "100",
                         "--scheme", "digital-shift", "--seed", "7"], None),

@@ -11,7 +11,8 @@ uniform each, which is what lets low-discrepancy coordinates stand in
 for pseudo-random uniforms. The estimators in ``psi`` sample their paths
 with an array form of the same recursion and hand the fresh points of a
 shared path back through ``insert_path``; ``value_at``,
-``value_at_with_uniform`` and ``snapshot``/``restore`` are the scalar
+``value_at_with_uniform``, its normal-driven form
+``_value_at_with_normal`` and ``snapshot``/``restore`` are the scalar
 reference the tests hold that kernel to.
 """
 
@@ -76,12 +77,17 @@ class LazyBridge:
         Requires a fresh t: re-querying a known time would silently ignore
         the supplied uniform, so it is an error here.
         """
+        return self._value_at_with_normal(t, invnorm(u01))
+
+    def _value_at_with_normal(self, t: float, z: float) -> float:
+        """Value at a fresh t for the given standard normal ``z``: the
+        scalar reference for paths whose normals are drawn directly."""
         i, mean, sd = self._conditional(t)
         if mean is None:
             raise ContractViolationError(
                 f"time {t} already in skeleton; uniform-driven queries need fresh times"
             )
-        return self._insert(i, t, mean + sd * invnorm(u01))
+        return self._insert(i, t, mean + sd * z)
 
     def _insert(self, i: int, t: float, value: float) -> float:
         self._times.insert(i, t)

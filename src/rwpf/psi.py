@@ -9,34 +9,41 @@ kappa ~ Poisson((U-L)(b-a)) and kappa uniform times on [a, b], then
 
 has the right mean. The estimate averages M such products. The three
 modes differ only in where each product gets its time uniforms and its
-bridge uniforms, and in whether the M products share one path:
+bridge values' standard normals, and in whether the M products share one
+path:
 
-* ``mc``: M * kappa pseudo-random time uniforms, then M * kappa value
-  uniforms; one shared path per bridge.
+* ``mc``: M * kappa pseudo-random time uniforms, then M * kappa
+  pseudo-random standard normals; one shared path per bridge.
 * ``rqmc-times``: a randomized low-discrepancy point set of dimension
-  kappa supplies the M time vectors, then M * kappa pseudo-random value
-  uniforms; one shared path per bridge.
+  kappa supplies the M time vectors, then M * kappa pseudo-random
+  standard normals; one shared path per bridge.
 * ``rqmc-times-values``: dimension 2*kappa; each point carries both its
-  times and its value uniforms, and has its own path from the two-point
-  skeleton, so points are conditionally independent given the endpoints
-  and each randomized point being uniform makes the average unbiased. A
-  time already on the point's path (a, b or the previous time) is nudged
-  up by one ulp of its uniform until it is fresh; each nudge is counted
-  as a time collision.
+  times and its value uniforms, which the inverse normal CDF
+  (``scipy.special.ndtri``) turns into normals. Each point has its own
+  path from the two-point skeleton, so points are conditionally
+  independent given the endpoints and each randomized point being
+  uniform makes the average unbiased. A time already on the point's path
+  (a, b or the previous time) is nudged up by one ulp of its uniform
+  until it is fresh; each nudge is counted as a time collision.
 
-Each path is sampled left to right over its sorted (time, value uniform)
+Only ``rqmc-times-values`` needs the inverse normal CDF, so
+``scipy.special`` is imported when a ``PsiConfig`` of that mode is
+validated, and never by a process that runs only the other modes.
+
+Each path is sampled left to right over its sorted (time, value draw)
 pairs. On a shared path a repeated time, or one equal to a or b, takes
 the value already known, as a lazily refined skeleton would.
 
 One array kernel weights every bridge of a call in one pass. Each
-distinct nonzero kappa is a group that draws its uniforms, or all its
-randomized point sets, as one array, in order of first appearance. The
-groups' sorted paths lie one after another in one flat array of slots,
-and the elementwise body (times, nudges, ``ndtri``, the recursion's
-coefficients, ``phi`` and the bound check) runs once over all of them.
-Only the draws, the row sort, the row cumulative sum and each point's
-product run per group, on rectangular views, so a bridge's estimate does
-not depend on which other bridges share the call.
+distinct nonzero kappa is a group that draws its uniforms and normals,
+or all its randomized point sets, as arrays, in order of first
+appearance. The groups' sorted paths lie one after another in one flat
+array of slots, and the elementwise body (times, nudges, ``ndtri`` on
+the point-set value slots, the recursion's coefficients, ``phi`` and the
+bound check) runs once over all of them. Only the draws, the row sort,
+the row cumulative sum and each point's product run per group, on
+rectangular views, so a bridge's estimate does not depend on which other
+bridges share the call.
 
 There are three entry points. ``estimate`` draws kappa itself and
 ``estimate_with_kappa`` takes one drawn by the caller (the paired
@@ -56,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import lowdisc
 from .bridge import _TINY, LazyBridge
@@ -71,6 +77,20 @@ MODE_RQMC_TIMES_VALUES = "rqmc-times-values"
 MODE_MC_FALLBACK = "mc-fallback"
 
 MODES = (MODE_MC, MODE_RQMC_TIMES, MODE_RQMC_TIMES_VALUES)
+# an estimate's mode array; wide enough for every mode name
+_MODE_DTYPE = f"<U{max(len(name) for name in (*MODES, MODE_MC_FALLBACK))}"
+
+ndtri = None   # scipy.special.ndtri, once a rqmc-times-values PsiConfig is validated
+
+
+def _inverse_normal():
+    """``scipy.special.ndtri``, imported on first use: only the value
+    uniforms of rqmc-times-values need it, and the import costs a process
+    about 0.25 s and 25 MB."""
+    global ndtri
+    if ndtri is None:
+        from scipy.special import ndtri
+    return ndtri
 
 
 @dataclass(frozen=True)
@@ -99,6 +119,8 @@ class PsiConfig:
             lowdisc.SCHEME_DIGITAL_SHIFT, lowdisc.SCHEME_OWEN
         ):
             raise ValueError(f"invalid randomization {self.randomization!r}")
+        if self.mode == MODE_RQMC_TIMES_VALUES:
+            _inverse_normal()   # at set-up, not in the first estimate
 
 
 @dataclass
@@ -144,24 +166,25 @@ def _point_sets(mode: str, kappa: int, cfg: PsiConfig, rng, g: int) -> np.ndarra
     return lowdisc.randomize(base, cfg.randomization, rng, g).points
 
 
-def _uniforms(mode: str, kappa: int, cfg: PsiConfig, rng, g: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Time and value uniforms, each (g, M * kappa) with point m's kappa
-    entries at [m * kappa, (m + 1) * kappa)."""
+def _draws(mode: str, kappa: int, cfg: PsiConfig, rng, g: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Time uniforms and value draws, each (g, M * kappa) with point m's
+    kappa entries at [m * kappa, (m + 1) * kappa). The value draws are the
+    point sets' uniforms in rqmc-times-values and standard normals from
+    ``rng`` otherwise, drawn after the times."""
     n = cfg.inner_points * kappa
     if mode == MODE_RQMC_TIMES_VALUES:
         points = _point_sets(mode, kappa, cfg, rng, g)
         return points[..., :kappa].reshape(g, n), points[..., kappa:].reshape(g, n)
-    if mode == MODE_RQMC_TIMES:
-        return _point_sets(mode, kappa, cfg, rng, g).reshape(g, n), rng.random((g, n))
-    draws = rng.random((g, 2 * n))
-    return draws[:, :n], draws[:, n:]
+    u_time = (_point_sets(mode, kappa, cfg, rng, g).reshape(g, n)
+              if mode == MODE_RQMC_TIMES else rng.random((g, n)))
+    return u_time, rng.standard_normal((g, n))
 
 
 def _at_base(kappa: np.ndarray, base: float, mode: str) -> PsiEstimate:
     """Estimates for bridges without times: each is e^{-L(b-a)}, with no queries."""
     n = len(kappa)
-    return PsiEstimate(np.full(n, base), kappa, np.full(n, mode, dtype=object),
+    return PsiEstimate(np.full(n, base), kappa, np.full(n, mode, dtype=_MODE_DTYPE),
                        np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
@@ -185,8 +208,10 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
         x_b - W_i = (b - t_i) * [(x_b - x_a)/(b - a)
                     - sum_{j <= i} Z_j sqrt((t_j - t_{j-1}) / ((b - t_{j-1})(b - t_j)))]
 
-    with t_0 = a and Z_j = ndtri(u_j); the term is zero where t_j repeats
-    or equals b, so those times take the value already on the path.
+    with t_0 = a and Z_j the j-th standard normal: drawn as one in the
+    shared-path modes, ndtri(u_j) of the point's value uniform in
+    rqmc-times-values. The term is zero where t_j repeats or equals b, so
+    those times take the value already on the path.
     """
     lo, hi = model.phi_bounds
     span = b - a
@@ -198,13 +223,17 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
             f"on a gap of b-a={span} (L={lo})"
         ) from None
     n, m = len(kappa), cfg.inner_points
-    kappas = dict.fromkeys(kappa.tolist())
+    kappas = kappa if n == 1 else np.flatnonzero(np.bincount(kappa))   # distinct
     whole = len(kappas) == 1          # one kappa for every bridge: nothing to gather
+    if not whole:                     # in order of first appearance
+        members = kappa == kappas[:, None]
+        arrival = np.argsort(members.argmax(axis=1))
+        kappas, members = kappas[arrival], members[arrival]
     groups, parts, size, n_per_point = [], [], 0, 0
-    for k in kappas:
+    for j, k in enumerate(kappas.tolist()):
         if k == 0:
             continue
-        idx = slice(None) if whole else np.nonzero(kappa == k)[0]
+        idx = slice(None) if whole else np.flatnonzero(members[j])
         g = n if whole else len(idx)
         mode = cfg.mode
         if mode != MODE_MC and k > cfg.rqmc_kappa_cap:
@@ -212,19 +241,22 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
         per_point = mode == MODE_RQMC_TIMES_VALUES
         n_per_point += per_point
         width = k if per_point else m * k     # times per path
-        u_time, u_val = (u.reshape(-1, width) for u in _uniforms(mode, k, cfg, rng, g))
-        order = np.lexsort((u_val, u_time), axis=-1)
+        u_time, draw = (x.reshape(-1, width) for x in _draws(mode, k, cfg, rng, g))
         starts = np.arange(size, size + u_time.size, width)
-        order += starts[:, None]              # flat slot indices
+        if width == 1:                        # a one-time row is sorted
+            order = starts
+        else:
+            order = np.lexsort((draw, u_time), axis=-1)
+            order += starts[:, None]          # flat slot indices
         groups.append((size, size + u_time.size, g, k, width, mode, idx))
-        parts.append((u_time.reshape(-1), u_val.reshape(-1), order.reshape(-1), starts,
+        parts.append((u_time.reshape(-1), draw.reshape(-1), order.reshape(-1), starts,
                       starts[::m] if per_point else starts))   # each bridge's first slot
         size += u_time.size
     if not groups:
         return _at_base(kappa, base, cfg.mode), None
 
     # each field as one array in group order; one group's are not copied
-    u_time, u_val, order, row_starts, first = (
+    u_time, draw, order, row_starts, first = (
         parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)])
     u_time = u_time[order]
     times = np.minimum(a + span * u_time, b)   # u near 1 can round past b
@@ -251,19 +283,36 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
             break
         # a time already on its point's path moves up by one ulp of its
         # uniform; times only move up, so moving every stuck one at once
-        # ends where moving them left to right does, after as many nudges
-        u_time[stuck] = np.nextafter(u_time[stuck], 2.0)
-        times[stuck] = a + span * u_time[stuck]
+        # ends where moving them left to right does, after as many nudges.
+        # Where one ulp of u is far below one ulp of t, u first jumps to
+        # just below the least uniform that moves t, a little under t plus
+        # half an ulp of t; every uniform passed over gives the same t, so
+        # the walk ends on the uniform it would reach one ulp at a time
+        u, t = u_time[stuck], times[stuck]
+        half_ulp = (np.nextafter(t, np.inf) - t) / span * 0.5
+        jump = ((t - a) / span + half_ulp) * (1.0 - 2.0**-49)
+        jump = np.where((jump > u) & (a + span * jump == t), jump, u)
+        u_time[stuck] = moved = np.nextafter(jump, 2.0)
+        times[stuck] = a + span * moved
         if (times > b).any():
             raise NumericError("time collision walked past the interval end")
-        nudges = stuck.astype(np.int64) if nudges is None else nudges + stuck
-    z = ndtri(np.maximum(u_val[order], _TINY))
+        if nudges is None:
+            nudges = np.zeros(size, dtype=np.int64)
+        # one nudge per ulp: the ulps between two doubles >= 0 are the
+        # difference of their bit patterns
+        nudges[stuck] += moved.view(np.int64) - u.view(np.int64)
+    z = draw[order]
+    if per_point_slots is True:                # the point sets' value uniforms
+        z = _inverse_normal()(np.maximum(z, _TINY))
+    elif per_point_slots is not None:
+        z[per_point_slots] = _inverse_normal()(np.maximum(z[per_point_slots], _TINY))
     # zero where the time is not fresh, so it keeps the value on the path
     coef = np.sqrt(step / np.where(fresh, (rem + step) * rem, np.inf))
     walk = coef * z
     for start, end, _, _, width, _, _ in groups:
-        rows = walk[start:end].reshape(-1, width)
-        rows.cumsum(axis=-1, out=rows)
+        if width > 1:
+            rows = walk[start:end].reshape(-1, width)
+            rows.cumsum(axis=-1, out=rows)
     if whole:
         _, _, _, k, _, mode, perm = groups[0]
         slots = m * k
@@ -293,7 +342,7 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
                   else np.add.reduceat(nudges, first))
     path = (times, w, fresh)
     if whole:
-        return PsiEstimate(values, kappa, np.full(n, mode, dtype=object),
+        return PsiEstimate(values, kappa, np.full(n, mode, dtype=_MODE_DTYPE),
                            queries, collisions), path
     est = _at_base(kappa, base, cfg.mode)
     est.value[perm], est.n_bridge_queries[perm], est.n_time_collisions[perm] = (
@@ -314,12 +363,11 @@ def _estimate(model: DriftModel, bridge: LazyBridge, cfg: PsiConfig, rng,
         )
     est, path = _kernel(model, bridge.a, bridge.b, np.array([bridge.x_a]),
                         np.array([bridge.x_b]), np.array([kappa]), cfg, rng)
-    mode = est.mode[0]
+    [value], [mode], [queries], [collisions] = (x.tolist() for x in (
+        est.value, est.mode, est.n_bridge_queries, est.n_time_collisions))
     if path is not None and mode != MODE_RQMC_TIMES_VALUES:
         times, w, fresh = path
         bridge.insert_path(times[fresh].tolist(), w[fresh].tolist())
-    [value], [queries], [collisions] = (x.tolist() for x in (
-        est.value, est.n_bridge_queries, est.n_time_collisions))
     return PsiEstimate(value, kappa, mode, queries, collisions)
 
 

@@ -68,18 +68,18 @@ class Dataset:
 
 
 def _euler_segment(model: DriftModel, x0: float, a: float, b: float,
-                   steps_per_unit: int, rng) -> tuple[np.ndarray, np.ndarray]:
+                   steps_per_unit: int, rng) -> tuple[np.ndarray, list[float]]:
+    """The fine grid's times on (a, b] and the Euler path's values on them."""
     n = max(int(math.ceil((b - a) * steps_per_unit)), 1)
     dt = (b - a) / n
-    sq = math.sqrt(dt)
     ts = a + dt * np.arange(1, n + 1)
-    xs = np.empty(n)
+    xs = []
     x = x0
-    noise = rng.standard_normal(n)
     alpha = model.alpha
-    for k in range(n):
-        x = x + float(alpha(x)) * dt + sq * noise[k]
-        xs[k] = x
+    # Python floats in the loop: numpy scalars cost more per step
+    for dw in (math.sqrt(dt) * rng.standard_normal(n)).tolist():
+        x = x + float(alpha(x)) * dt + dw
+        xs.append(x)
     return ts, xs
 
 
@@ -102,10 +102,10 @@ def simulate(cfg: RunConfig) -> Dataset:
             x = float(model.tilted_sampler(x, t - prev_t, rng))
         else:
             ts, xs = _euler_segment(model, x, prev_t, t, cfg.euler_steps_per_unit, rng)
-            x = float(xs[-1])
+            x = xs[-1]
             if cfg.store_fine_path:
                 fine_t.extend(ts.tolist())
-                fine_x.extend(xs.tolist())
+                fine_x.extend(xs)
         latent.append(x)
         prev_t = t
 

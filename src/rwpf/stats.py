@@ -4,9 +4,11 @@
 standard normal quantile function (absolute error below 1e-15 over the
 open unit interval, far inside the 1e-9 budget the bridge sampler needs).
 It serves ``LazyBridge``'s one-at-a-time queries, which take one uniform
-per Gaussian and are the scalar reference for the estimators; the
-estimators' array kernel uses ``scipy.special.ndtri`` instead, and the
-test suite checks the two against each other. `logsumexp` is the
+per Gaussian and are the scalar reference for the estimators. The
+estimators' array kernel needs an inverse normal only for the point-set
+value uniforms of ``rqmc-times-values``, and uses ``scipy.special.ndtri``
+there; the other modes draw standard normals directly. The test suite
+checks ``invnorm`` against ``ndtri``. `logsumexp` is the
 particle filter's log-sum-exp of its log-weights, in numpy.
 """
 

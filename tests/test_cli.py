@@ -276,15 +276,39 @@ def test_bad_field_types_and_point_cap_exit_2(tmp_path, command, extra):
     assert "Traceback" not in r.stderr
 
 
+_IMPORT_STAGES = """
+import sys
+
+def loaded(name):
+    return any(m == name or m.startswith(name + ".") for m in sys.modules)
+
+import rwpf, rwpf.cli
+print("import", loaded("scipy.stats"), loaded("scipy.special"))
+from rwpf import config, smc
+from rwpf.simulate import simulate
+raw = {"model": {"name": "sine"}, "x0": 0.0, "observation_times": [1.0, 2.0],
+       "noise_sd": 0.5, "seed": 5, "particles": 64}
+cfg = config.parse_config(raw)
+ds = simulate(cfg)
+print("simulate", loaded("scipy.special"))
+smc.run_filter(cfg.build_model(), list(zip(ds.times, ds.observations)), smc.FilterConfig(
+    n_particles=64, x0=0.0, noise_sd=0.5, psi=cfg.psi_cfg, master_seed=5))
+print("filter-mc", loaded("scipy.special"))
+config.parse_config({**raw, "psi": {"mode": "rqmc-times-values", "inner_points": 4}})
+print("parse-rqmc-times-values", loaded("scipy.special"))
+"""
+
+
 def test_import_loads_no_scipy_stats():
-    # scipy.stats is for the tests only; the test process has it loaded
-    # already, so a fresh interpreter does the import
-    r = subprocess.run([sys.executable, "-c",
-                        "import sys, rwpf, rwpf.cli; "
-                        "print([m for m in sys.modules if m.startswith('scipy.stats')])"],
+    # scipy.stats is for the tests only, and scipy.special for the point
+    # sets' values only; the test process has both loaded already, so a
+    # fresh interpreter runs each stage
+    r = subprocess.run([sys.executable, "-c", _IMPORT_STAGES],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.split("\n")[:-1] == [
+        "import False False", "simulate False", "filter-mc False",
+        "parse-rqmc-times-values True"]
 
 
 def test_long_gap_overflow_exits_3(tmp_path):

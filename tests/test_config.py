@@ -1,9 +1,11 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
-from rwpf import models
+from rwpf import models, simulate as simulate_module
 from rwpf.config import ConfigError, content_hash, parse_config
 from rwpf.models import exact_transition_density, builtin
 from rwpf.simulate import Dataset, simulate
@@ -173,6 +175,32 @@ def test_simulate_roundtrip_dict():
     assert ds.fine_path is not None  # sine path comes from the Euler scheme
     again = Dataset.from_dict(ds.to_dict())
     assert again == ds
+
+
+def _euler_numpy_scalars(model, x0, a, b, steps_per_unit, rng):
+    """The Euler segment as a loop over numpy scalars: the oracle for the
+    Python-float loop in ``simulate``."""
+    n = max(int(math.ceil((b - a) * steps_per_unit)), 1)
+    dt = (b - a) / n
+    sq = math.sqrt(dt)
+    ts = a + dt * np.arange(1, n + 1)
+    xs = np.empty(n)
+    x = x0
+    noise = rng.standard_normal(n)
+    for k in range(n):
+        x = x + float(model.alpha(x)) * dt + sq * noise[k]
+        xs[k] = x
+    return ts, xs.tolist()
+
+
+@pytest.mark.parametrize("model", [{"name": "sine"}, {"name": "scaled-sine", "theta": 1.7}])
+@pytest.mark.parametrize("fine", [False, True])
+def test_euler_loop_matches_numpy_scalar_oracle(monkeypatch, model, fine):
+    cfg = parse_config(_base_config(model=model, observation_times=[0.7, 1.9, 4.0],
+                                    store_fine_path=fine, euler_steps_per_unit=500))
+    data = json.dumps(simulate(cfg).to_dict())
+    monkeypatch.setattr(simulate_module, "_euler_segment", _euler_numpy_scalars)
+    assert data == json.dumps(simulate(cfg).to_dict())
 
 
 def test_simulate_exact_sampler_matches_density():

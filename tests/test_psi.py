@@ -3,15 +3,18 @@ import dataclasses
 import json
 import math
 import pathlib
+import signal
 
 import numpy as np
 import pytest
+from cloud_replay import per_particle_estimates
 
 from rwpf import lowdisc, psi
 from rwpf.bridge import _TINY, LazyBridge
 from rwpf.errors import ContractViolationError, NumericError, UnsupportedDimensionError
 from rwpf.models import builtin
 from rwpf.rngs import stream
+from rwpf.stats import invnorm
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -340,6 +343,40 @@ def test_times_values_collision_past_the_end_is_numeric_failure(monkeypatch):
             estimate(builtin("sine"), LazyBridge(0.0, 0.0, 1.0, 0.0), cfg, draws, 2)
 
 
+def test_times_values_zero_time_uniform_far_from_zero_returns(monkeypatch):
+    # on [40, 41] a time uniform 0 lands on a, and about 2^52 one-ulp
+    # nudges from 0 pass before 40 + u moves; the walk jumps over them
+    _fixed_points(monkeypatch, [[0.0, 0.5]])
+    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=1)
+    sine = builtin("sine")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the estimate did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        est = psi.estimate_with_kappa(sine, LazyBridge(40.0, 0.2, 41.0, -0.4), cfg,
+                                      stream(26, 1), 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    # the least uniform u with 40 + u > 40, by bisection on the bit
+    # patterns, which count the ulps from 0
+    below, above = 0, int(np.float64(1.0).view(np.int64))
+    while above - below > 1:
+        mid = (below + above) // 2
+        if 40.0 + np.int64(mid).view(np.float64) > 40.0:
+            above = mid
+        else:
+            below = mid
+    u = float(np.int64(above).view(np.float64))
+    assert est.n_time_collisions == above and est.n_bridge_queries == 1
+    lo, hi = sine.phi_bounds
+    w = LazyBridge(40.0, 0.2, 41.0, -0.4).value_at_with_uniform(40.0 + u, 0.5)
+    assert _close(sine, est.value, math.exp(-lo) * (hi - sine.phi_scalar(w)) / (hi - lo), 1.0)
+
+
 def test_times_values_needs_a_two_point_skeleton():
     sine = builtin("sine")
     br = LazyBridge(0.0, 0.0, 1.0, 0.0)
@@ -353,32 +390,33 @@ def test_times_values_needs_a_two_point_skeleton():
 
 
 class _Draws:
-    """A stream stand-in that hands out fixed uniforms in order."""
+    """A stream stand-in that hands out fixed uniforms and fixed normals."""
 
-    def __init__(self, uniforms):
-        self.uniforms = list(uniforms)
+    def __init__(self, uniforms, normals):
+        self.uniforms, self.normals = list(uniforms), list(normals)
 
     def random(self, shape):
-        n = int(np.prod(shape))
-        out, self.uniforms = self.uniforms[:n], self.uniforms[n:]
-        return np.reshape(out, shape)
+        return np.reshape(self.uniforms, shape)
+
+    def standard_normal(self, shape):
+        return np.reshape(self.normals, shape)
 
     def integers(self, lo, hi, size, dtype):  # shifts; the fixed point sets ignore them
         return np.zeros(size, dtype)
 
 
-def _reference_shared(model, bridge, cfg, kappa, u_time, u_val):
-    """mc / rqmc-times on the LazyBridge: the (time, value uniform) pairs in
-    sorted order, value_at_with_uniform at a fresh time, the value already
+def _reference_shared(model, bridge, cfg, kappa, u_time, normals):
+    """mc / rqmc-times on the LazyBridge: the (time uniform, normal) pairs
+    in sorted order, the normal's value at a fresh time, the value already
     on the path at a repeated time or at a or b. Point m's times are
     u_time[m * kappa:(m + 1) * kappa]. The path stays in ``bridge``."""
     lo, hi = model.phi_bounds
     a, b = bridge.a, bridge.b
     span = b - a
-    for ut, uv in sorted(zip(u_time, u_val)):
+    for ut, z in sorted(zip(u_time, normals)):
         t = min(a + span * ut, b)
         if t not in dict(bridge.skeleton()):
-            bridge.value_at_with_uniform(t, max(uv, _TINY))
+            bridge._value_at_with_normal(t, z)
     path = dict(bridge.skeleton())
     acc = 0.0
     for m in range(cfg.inner_points):
@@ -389,20 +427,18 @@ def _reference_shared(model, bridge, cfg, kappa, u_time, u_val):
     return math.exp(-lo * span) * (acc / cfg.inner_points)
 
 
-def _shared_uniforms(cfg, kappa, rng):
-    """The uniforms mc and rqmc-times draw from ``rng`` for one estimate."""
+def _shared_draws(cfg, kappa, rng):
+    """The time uniforms, then the normals, that mc and rqmc-times draw
+    from ``rng`` for one estimate."""
     n = cfg.inner_points * kappa
-    if cfg.mode == "mc":
-        draws = rng.random(2 * n).tolist()
-        return draws[:n], draws[n:]
-    times = _drawn_points(cfg, kappa, rng)
-    return times.reshape(-1).tolist(), rng.random(n).tolist()
+    times = rng.random(n) if cfg.mode == "mc" else _drawn_points(cfg, kappa, rng)
+    return times.reshape(-1).tolist(), rng.standard_normal(n).tolist()
 
 
-def _assert_shared_matches_reference(model, cfg, kappa, a, b, x_a, x_b, rng, ref_uniforms):
+def _assert_shared_matches_reference(model, cfg, kappa, a, b, x_a, x_b, rng, ref_draws):
     br, ref_br = LazyBridge(a, x_a, b, x_b), LazyBridge(a, x_a, b, x_b)
     est = psi.estimate_with_kappa(model, br, cfg, rng, kappa)
-    ref = _reference_shared(model, ref_br, cfg, kappa, *ref_uniforms)
+    ref = _reference_shared(model, ref_br, cfg, kappa, *ref_draws)
     assert (est.kappa, est.mode, est.n_time_collisions) == (kappa, cfg.mode, 0)
     assert est.n_bridge_queries == ref_br.total_inserted == br.total_inserted
     assert [t for t, _ in br.skeleton()] == [t for t, _ in ref_br.skeleton()]
@@ -426,7 +462,7 @@ def test_shared_path_kernel_matches_bridge_reference(model, cfg):
             r1, r2 = stream(21, kappa, rep), stream(21, kappa, rep)
             _assert_shared_matches_reference(model, cfg, kappa, 0.5, 2.0,
                                              0.4 * rep - 0.3, 1.1 - 0.7 * rep, r1,
-                                             _shared_uniforms(cfg, kappa, r2))
+                                             _shared_draws(cfg, kappa, r2))
             assert r1.random() == r2.random()  # same draws from the stream
 
 
@@ -435,13 +471,12 @@ def test_shared_path_forced_duplicates_and_endpoints(monkeypatch, mode):
     # on [40, 41] a uniform 0 gives t == a and 1 - 2**-53 gives t == b
     top = 1.0 - 2.0**-53
     u_time = [0.25, 0.0, 0.25, top, 0.7, 0.25, 0.0, top]
-    u_val = [0.9, 0.3, 0.1, 0.5, 0.0, 0.6, 0.2, 0.8]
+    normals = [invnorm(max(u, _TINY)) for u in (0.9, 0.3, 0.1, 0.5, 0.0, 0.6, 0.2, 0.8)]
     _fixed_points(monkeypatch, np.reshape(u_time, (4, 2)))
     cfg = psi.PsiConfig(mode=mode, inner_points=4)
-    draws = u_time + u_val if mode == "mc" else u_val
     sine = builtin("sine")
     est = _assert_shared_matches_reference(sine, cfg, 2, 40.0, 41.0, 0.2, -0.4,
-                                           _Draws(draws), (u_time, u_val))
+                                           _Draws(u_time, normals), (u_time, normals))
     assert est.n_bridge_queries == 2  # 0.25 and 0.7; the rest are known
 
 
@@ -472,21 +507,9 @@ def test_long_gap_overflow_is_numeric_failure():
         psi.sample_kappa(sine.phi_bounds, 0.0, 1e19, stream(23, 3))
 
 
-class _Replay:
-    """A stream stand-in that hands one bridge its share of a kappa group's
-    draws, in the order an estimate on a batch of one asks for them: its
-    point set (through ``_point_sets``), then its value uniforms."""
-
-    def __init__(self, points, values):
-        self.points, self.values = points, values
-
-    def random(self, shape):
-        return np.reshape(self.values, shape)
-
-
 @pytest.mark.parametrize("mode", psi.MODES)
 @pytest.mark.parametrize("scheme", ["digital-shift", "owen-scramble"])
-def test_estimate_cloud_matches_per_particle_estimates(monkeypatch, mode, scheme):
+def test_estimate_cloud_matches_per_particle_estimates(mode, scheme):
     # kappa cap 2 on a 2-unit gap: many particles fall back to mc
     sine = builtin("sine")
     cfg = psi.PsiConfig(mode=mode, inner_points=16, rqmc_kappa_cap=2,
@@ -496,29 +519,9 @@ def test_estimate_cloud_matches_per_particle_estimates(monkeypatch, mode, scheme
     x_b = np.cos(np.arange(n))
     cloud_rng, twin = stream(20, 0), stream(20, 0)
     cloud = _unstacked(psi.estimate_cloud(sine, 1.0, 3.0, x_a, x_b, cfg, cloud_rng))
-    # the reference on a twin stream: the kappas as one array, then one
-    # estimate_with_kappa per particle, kappa group by kappa group; a group
-    # that draws each bridge's uniforms or point set as one row of an array
-    # draw matches a loop on the twin draw for draw, and an rqmc-times group
-    # draws its point sets before its value uniforms, so the reference draws
-    # them the same way and hands each bridge its share
-    point_sets = psi._point_sets
-    monkeypatch.setattr(psi, "_point_sets", lambda mode, kappa, cfg, rng, g: (
-        rng.points[None] if isinstance(rng, _Replay) else
-        point_sets(mode, kappa, cfg, rng, g)))
-    kappa = psi.sample_kappa(sine.phi_bounds, 1.0, 3.0, twin, n)
-    ests = [None] * n
-    for k in dict.fromkeys(kappa.tolist()):
-        idx = np.flatnonzero(kappa == k).tolist()
-        rngs = [twin] * len(idx)
-        if mode == "rqmc-times" and 0 < k <= cfg.rqmc_kappa_cap:
-            sets = lowdisc.randomize(lowdisc.generate_base(k, cfg.inner_points), scheme,
-                                     twin, len(idx)).points
-            values = twin.random((len(idx), cfg.inner_points * k))
-            rngs = [_Replay(p, v) for p, v in zip(sets, values)]
-        for i, rng in zip(idx, rngs):
-            ests[i] = psi.estimate_with_kappa(sine, LazyBridge(1.0, x_a[i], 3.0, x_b[i]),
-                                              cfg, rng, k)
+    # the reference on a twin stream: one estimate_with_kappa per particle,
+    # handed its share of its kappa group's draws
+    ests = per_particle_estimates(sine, 1.0, 3.0, x_a, x_b, cfg, twin)
     # batches of one and of many run the same kernel: equal values too
     assert cloud == ests
     assert cloud_rng.random() == twin.random()
@@ -533,29 +536,23 @@ def test_cloud_nudges_stay_in_their_kappa_group(monkeypatch):
     # batch of one, so a nudge in one group moves nothing in another
     _fixed_points(monkeypatch, [[0.4375, 0.4375, 0.4375, 0.1, 0.9, 0.5],
                                 [0.25, 0.75, 0.25, 0.0, 0.3, 0.6]])
-    uniforms = psi._uniforms
+    draws = psi._draws
 
     def repeated(mode, kappa, cfg, rng, g):
-        u_time, u_val = uniforms(mode, kappa, cfg, rng, g)
+        u_time, values = draws(mode, kappa, cfg, rng, g)
         if mode == psi.MODE_MC_FALLBACK:
             u_time = u_time.copy()
             u_time[:, 1] = u_time[:, 0]
-        return u_time, u_val
+        return u_time, values
 
-    monkeypatch.setattr(psi, "_uniforms", repeated)
+    monkeypatch.setattr(psi, "_draws", repeated)
     sine = builtin("sine")
     cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=2, rqmc_kappa_cap=3)
     a, b, n = 0.0, 3.0, 128
     x_a, x_b = np.linspace(-2.0, 2.0, n), np.cos(np.arange(n))
     cloud_rng, twin = stream(24, 0), stream(24, 0)
     cloud = _unstacked(psi.estimate_cloud(sine, a, b, x_a, x_b, cfg, cloud_rng))
-    kappa = psi.sample_kappa(sine.phi_bounds, a, b, twin, n)
-    ests = [None] * n
-    for k in dict.fromkeys(kappa.tolist()):
-        for i in np.flatnonzero(kappa == k).tolist():
-            ests[i] = psi.estimate_with_kappa(sine, LazyBridge(a, x_a[i], b, x_b[i]),
-                                              cfg, twin, k)
-    assert cloud == ests
+    assert cloud == per_particle_estimates(sine, a, b, x_a, x_b, cfg, twin)
     assert cloud_rng.random() == twin.random()
     kappas = {e.kappa for e in cloud}
     assert {0, 1, 2, 3} <= kappas and max(kappas) > 3
@@ -568,8 +565,9 @@ def test_cloud_nudges_stay_in_their_kappa_group(monkeypatch):
 
 
 def test_estimate_cloud_is_one_kernel_pass(monkeypatch):
-    # however many kappa groups a cloud has, ndtri and phi run once over
-    # all of their slots
+    # however many kappa groups a cloud has, phi runs once over all of
+    # their slots, and so does ndtri over the point-set value slots of
+    # rqmc-times-values; the other modes draw normals and never call it
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -578,7 +576,7 @@ def test_estimate_cloud_is_one_kernel_pass(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(psi, "ndtri", counted("ndtri", psi.ndtri))
+    monkeypatch.setattr(psi, "ndtri", counted("ndtri", psi._inverse_normal()))
     sine = builtin("sine")
     model = dataclasses.replace(sine, alpha=counted("alpha", sine.alpha))
     n = 64
@@ -588,4 +586,5 @@ def test_estimate_cloud_is_one_kernel_pass(monkeypatch):
         calls.clear()
         est = psi.estimate_cloud(model, 0.0, 2.0, x_a, x_b, cfg, stream(25, 0))
         assert len(set(est.kappa.tolist()) - {0}) >= 3
-        assert calls == {"ndtri": 1, "alpha": 1}, mode
+        inverse = {"ndtri": 1} if mode == "rqmc-times-values" else {}
+        assert calls == {**inverse, "alpha": 1}, mode

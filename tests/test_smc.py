@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from cloud_replay import per_particle_estimates
 
 from rwpf import bench, oracles, psi, smc
-from rwpf.bridge import LazyBridge
 from rwpf.config import BenchConfig
 from rwpf.errors import DegeneracyError, NumericError
 from rwpf.models import DriftModel, builtin
@@ -293,17 +293,9 @@ def test_unvalidated_custom_model_rejected_on_entry(monkeypatch):
 
 def _per_particle_cloud(model, a, b, x_a, x_b, cfg, rng):
     """estimate_cloud as a loop of psi.estimate_with_kappa, one particle at a
-    time, in the cloud's draw order: the kappas as one array, then the
-    particles kappa group by kappa group. rqmc-times-values and mc draw
-    each bridge's shifts or uniforms as one row of an array draw, so the
-    loop sees the cloud's draws."""
-    kappa = psi.sample_kappa(model.phi_bounds, a, b, rng, len(x_a))
-    ests = {}
-    for k in dict.fromkeys(kappa.tolist()):
-        for i in np.flatnonzero(kappa == k).tolist():
-            ests[i] = psi.estimate_with_kappa(
-                model, LazyBridge(a, float(x_a[i]), b, float(x_b[i])), cfg, rng, k)
-    return psi.PsiEstimate(*(np.array([getattr(ests[i], f.name) for i in range(len(x_a))])
+    time, in the cloud's draw order (see ``cloud_replay``)."""
+    ests = per_particle_estimates(model, a, b, x_a, x_b, cfg, rng)
+    return psi.PsiEstimate(*(np.array([getattr(e, f.name) for e in ests])
                              for f in dataclasses.fields(psi.PsiEstimate)))
 
 
@@ -356,11 +348,15 @@ class _CountingRng:
         return counted
 
 
-@pytest.mark.parametrize("mode,draw", [("mc", "random"), ("rqmc-times-values", "integers")])
-def test_step_draw_calls_do_not_grow_with_the_cloud(monkeypatch, mode, draw):
-    # one step draws one array of normals, one of kappas, and per distinct
-    # kappa one array of uniforms or of digital shifts, whatever the number
-    # of particles; only the number of distinct kappas varies with N
+@pytest.mark.parametrize("mode,per_group", [
+    ("mc", {"random": 1, "standard_normal": 1}),
+    ("rqmc-times-values", {"integers": 1}),
+], ids=["mc-random", "rqmc-times-values-integers"])
+def test_step_draw_calls_do_not_grow_with_the_cloud(monkeypatch, mode, per_group):
+    # one step draws one array of proposal normals, one of kappas, and per
+    # distinct kappa one array of time uniforms and one of normals, or one
+    # of digital shifts, whatever the number of particles; only the number
+    # of distinct kappas varies with N
     sine = builtin("sine")
     cfg = psi.PsiConfig(mode=mode, inner_points=4, randomization="digital-shift")
     estimate_cloud, kappas = psi.estimate_cloud, []
@@ -379,6 +375,9 @@ def test_step_draw_calls_do_not_grow_with_the_cloud(monkeypatch, mode, draw):
                  (0.0, 1.0), cfg)
         groups = len(set(kappas[-1].tolist()) - {0})
         assert groups > 0
-        assert counting.calls == {"standard_normal": 1, "poisson": 1, draw: groups}, n
-        per_step[n] = sum(counting.calls.values()) - groups
+        expected = collections.Counter({"standard_normal": 1, "poisson": 1})
+        for _ in range(groups):
+            expected.update(per_group)
+        assert counting.calls == expected, n
+        per_step[n] = sum(counting.calls.values()) - groups * sum(per_group.values())
     assert per_step[64] == per_step[4096] == 2
