@@ -35,6 +35,7 @@ ZERO = {**SINE, "model": {"name": "zero"}}
 BENCH = {"x_a": 0.0, "x_b": 3.141592653589793, "a": 0.0, "b": 1.0,
          "inner_points_grid": [4, 16], "replications": 200,
          "modes": ["mc", "rqmc-times", "rqmc-times-values"]}
+FAR = {"a": 1e15, "b": 1e15 + 1}
 
 # (run, subcommand and flags, config or None); a filter reads the dataset
 # of the simulate run of its model
@@ -79,6 +80,12 @@ RUNS = [
                        "--scheme", "owen-scramble", "--seed", "7"], None),
     ("oracle-kalman", ["oracle"],
      {**SINE, "oracle": {"kind": "kalman", "dataset": "simulate-sine/dataset.json"}}),
+    # far from 0 the doubles of [a, b] are 1/8 apart: real draws repeat times
+    ("psi-bench-far", ["psi-bench"],
+     {**SINE, "bench": {**BENCH, **FAR, "randomization": "digital-shift"}}),
+    ("oracle-bruteforce-far", ["oracle"],
+     {**SINE, "oracle": {"kind": "psi-bruteforce", "x_a": 0.0, "x_b": 3.141592653589793,
+                         **FAR, "n_steps": 200, "n_paths": 2000}}),
 ]
 
 

@@ -58,13 +58,15 @@ def psi_bruteforce(model: DriftModel, x_a: float, x_b: float, a: float, b: float
         raise ValueError("n_steps must be >= 100")
     if n_paths < 1000:
         raise ValueError("n_paths must be >= 1000")
-    dt = (b - a) / n_steps
+    # phi does not depend on time, so time runs from 0 at a: far from 0,
+    # a + (k - 1) * dt could round onto b before the last step
+    span = b - a
+    dt = span / n_steps
     w = np.full(n_paths, float(x_a))
     phi_prev = np.broadcast_to(phi(model, w), (n_paths,)).copy()
     integral = np.zeros(n_paths)
     for k in range(1, n_steps + 1):
-        s = a + (k - 1) * dt
-        rem = b - s
+        rem = span - (k - 1) * dt
         mean = w + (dt / rem) * (x_b - w)
         var = dt * (rem - dt) / rem
         if var > 0:

@@ -22,24 +22,24 @@ path:
   (``scipy.special.ndtri``) turns into normals. Each point has its own
   path from the two-point skeleton, so points are conditionally
   independent given the endpoints and each randomized point being
-  uniform makes the average unbiased. A time already on the point's path
-  (a, b or the previous time) is nudged up by one ulp of its uniform
-  until it is fresh; each nudge is counted as a time collision.
+  uniform makes the average unbiased.
 
 Only ``rqmc-times-values`` needs the inverse normal CDF, so
 ``scipy.special`` is imported when a ``PsiConfig`` of that mode is
 validated, and never by a process that runs only the other modes.
 
 Each path is sampled left to right over its sorted (time, value draw)
-pairs. On a shared path a repeated time, or one equal to a or b, takes
-the value already known, as a lazily refined skeleton would.
+pairs. On every path, shared or per point, a repeated time, or one equal
+to a or b, takes the value already known, as a lazily refined skeleton
+would; given the floating-point times that is the exact bridge law. Such
+a time is counted as a time collision and not as a bridge query.
 
 One array kernel weights every bridge of a call in one pass. Each
 distinct nonzero kappa is a group that draws its uniforms and normals,
 or all its randomized point sets, as arrays, in order of first
 appearance. The groups' sorted paths lie one after another in one flat
-array of slots, and the elementwise body (times, nudges, ``ndtri`` on
-the point-set value slots, the recursion's coefficients, ``phi`` and the
+array of slots, and the elementwise body (times, ``ndtri`` on the
+point-set value slots, the recursion's coefficients, ``phi`` and the
 bound check) runs once over all of them. Only the draws, the row sort,
 the row cumulative sum and each point's product run per group, on
 rectangular views, so a bridge's estimate does not depend on which other
@@ -125,7 +125,9 @@ class PsiConfig:
 
 @dataclass
 class PsiEstimate:
-    """Scalars for one bridge; length-N arrays for a cloud (``estimate_cloud``)."""
+    """Scalars for one bridge; length-N arrays for a cloud (``estimate_cloud``).
+    Of a bridge's M * kappa times, ``n_bridge_queries`` are fresh on their
+    path and ``n_time_collisions`` took the value already known there."""
     value: float
     kappa: int
     mode: str
@@ -210,8 +212,9 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
 
     with t_0 = a and Z_j the j-th standard normal: drawn as one in the
     shared-path modes, ndtri(u_j) of the point's value uniform in
-    rqmc-times-values. The term is zero where t_j repeats or equals b, so
-    those times take the value already on the path.
+    rqmc-times-values. The term is zero where t_j equals a, b or t_{j-1},
+    so on every path, shared or per point, those times take the value
+    already on it.
     """
     lo, hi = model.phi_bounds
     span = b - a
@@ -258,8 +261,7 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
     # each field as one array in group order; one group's are not copied
     u_time, draw, order, row_starts, first = (
         parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)])
-    u_time = u_time[order]
-    times = np.minimum(a + span * u_time, b)   # u near 1 can round past b
+    times = np.minimum(a + span * u_time[order], b)   # u near 1 can round past b
     if n_per_point == len(groups):
         per_point_slots = True
     elif n_per_point == 0:
@@ -268,39 +270,12 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
         per_point_slots = np.repeat(
             [mode == MODE_RQMC_TIMES_VALUES for *_, mode, _ in groups],
             [end - start for start, end, *_ in groups])
-    nudges = None                              # per slot, once a time has moved
     prev = np.empty_like(times)
-    while True:
-        prev[1:] = times[:-1]
-        prev[row_starts] = a
-        step = times - prev
-        rem = b - times                        # b - t_{j-1} = rem + step
-        fresh = (step > 0.0) & (rem > 0.0)
-        if per_point_slots is None or fresh.all():
-            break
-        stuck = ~fresh & per_point_slots
-        if not stuck.any():
-            break
-        # a time already on its point's path moves up by one ulp of its
-        # uniform; times only move up, so moving every stuck one at once
-        # ends where moving them left to right does, after as many nudges.
-        # Where one ulp of u is far below one ulp of t, u first jumps to
-        # just below the least uniform that moves t, a little under t plus
-        # half an ulp of t; every uniform passed over gives the same t, so
-        # the walk ends on the uniform it would reach one ulp at a time
-        u, t = u_time[stuck], times[stuck]
-        half_ulp = (np.nextafter(t, np.inf) - t) / span * 0.5
-        jump = ((t - a) / span + half_ulp) * (1.0 - 2.0**-49)
-        jump = np.where((jump > u) & (a + span * jump == t), jump, u)
-        u_time[stuck] = moved = np.nextafter(jump, 2.0)
-        times[stuck] = a + span * moved
-        if (times > b).any():
-            raise NumericError("time collision walked past the interval end")
-        if nudges is None:
-            nudges = np.zeros(size, dtype=np.int64)
-        # one nudge per ulp: the ulps between two doubles >= 0 are the
-        # difference of their bit patterns
-        nudges[stuck] += moved.view(np.int64) - u.view(np.int64)
+    prev[1:] = times[:-1]
+    prev[row_starts] = a
+    step = times - prev
+    rem = b - times                            # b - t_{j-1} = rem + step
+    fresh = (step > 0.0) & (rem > 0.0)
     z = draw[order]
     if per_point_slots is True:                # the point sets' value uniforms
         z = _inverse_normal()(np.maximum(z, _TINY))
@@ -338,15 +313,13 @@ def _kernel(model: DriftModel, a: float, b: float, x_a: np.ndarray, x_b: np.ndar
     if not finite.all():
         raise NumericError(f"psi estimate is not finite: {float(values[~finite][0])!r}")
     queries = np.add.reduceat(fresh, first, dtype=np.int64)
-    collisions = (np.zeros(len(values), dtype=np.int64) if nudges is None
-                  else np.add.reduceat(nudges, first))
     path = (times, w, fresh)
     if whole:
         return PsiEstimate(values, kappa, np.full(n, mode, dtype=_MODE_DTYPE),
-                           queries, collisions), path
+                           queries, m * kappa - queries), path
     est = _at_base(kappa, base, cfg.mode)
-    est.value[perm], est.n_bridge_queries[perm], est.n_time_collisions[perm] = (
-        values, queries, collisions)
+    est.value[perm], est.n_bridge_queries[perm] = values, queries
+    est.n_time_collisions = m * kappa - est.n_bridge_queries
     for _, _, _, _, _, mode, idx in groups:
         if mode == MODE_MC_FALLBACK:
             est.mode[idx] = mode

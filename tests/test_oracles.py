@@ -41,6 +41,15 @@ def test_psi_bruteforce_preconditions():
         oracles.psi_bruteforce(zero, 0, 0, 0, 1, 200, 999, stream(1, 3))
 
 
+def test_psi_bruteforce_far_gap_is_the_unit_gap():
+    # phi does not depend on time and b - a is exactly 1 at 1e15, so the
+    # same stream gives the [0, 1] result bit for bit
+    sine = builtin("sine")
+    near = oracles.psi_bruteforce(sine, 0.0, 0.5, 0.0, 1.0, 200, 1000, stream(1, 4))
+    far = oracles.psi_bruteforce(sine, 0.0, 0.5, 1e15, 1e15 + 1, 200, 1000, stream(1, 4))
+    assert far == near
+
+
 def test_psi_bruteforce_step_doubling_consistency():
     sine = builtin("sine")
     m1, s1 = oracles.psi_bruteforce(sine, 0, 0, 0, 1, 500, 40_000, stream(2, 0))

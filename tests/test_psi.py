@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import pathlib
-import signal
 
 import numpy as np
 import pytest
@@ -147,18 +146,6 @@ def test_times_values_dimension_cap():
     assert est.kappa == 32
 
 
-def test_times_values_collision_perturbation(monkeypatch):
-    # force duplicate coordinates so the one-ulp perturbation path runs
-    sine = builtin("sine")
-    _fixed_points(monkeypatch, np.full((2, 4), 0.4375))
-    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=2)
-    est = psi.estimate_with_kappa(sine, LazyBridge(0.0, 0.0, 1.0, 0.0), cfg,
-                                  stream(9, 1), 2)
-    assert est.n_time_collisions >= 2  # each point queries 0.4375 twice
-    assert est.n_bridge_queries == 4
-    assert math.isfinite(est.value)
-
-
 def test_rollback_leaves_entry_skeleton():
     sine = builtin("sine")
     cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=8)
@@ -214,40 +201,65 @@ def test_mode_dispatch_guards():
                                 psi.PsiConfig(mode="mc"), rng, -1)
 
 
-def _drawn_points(cfg, dim, rng):
-    """The randomized point set an estimate on a batch of one draws from
-    ``rng``: one set of ``lowdisc.randomize`` on that stream."""
-    base = lowdisc.generate_base(dim, cfg.inner_points)
-    return lowdisc.randomize(base, cfg.randomization, rng, 1).points[0]
+def _split(points, kappa):
+    """rqmc-times-values points, rows of (time, value) uniforms (M, 2 * kappa),
+    as the lists (time uniforms, value uniforms) that ``_reference`` takes."""
+    points = np.asarray(points)
+    return points[:, :kappa].reshape(-1).tolist(), points[:, kappa:].reshape(-1).tolist()
 
 
-def _reference_times_values(model, bridge, cfg, points, kappa):
-    """rqmc-times-values on the LazyBridge over the (M, 2 * kappa) points:
-    sorted (time, value) pairs, value_at_with_uniform, the one-ulp nudge of
-    a time already in the skeleton, and a rollback after every point.
-    Returns (value, n_time_collisions, n_bridge_queries)."""
+def _drawn(cfg, kappa, rng):
+    """The time uniforms and value draws an estimate on a batch of one
+    draws from ``rng``: standard normals on a shared path, the point set's
+    value uniforms in rqmc-times-values. Point m's are the entries
+    [m * kappa, (m + 1) * kappa) of each list."""
+    n = cfg.inner_points * kappa
+    if cfg.mode == "mc":
+        return rng.random(n).tolist(), rng.standard_normal(n).tolist()
+    dim = kappa if cfg.mode == "rqmc-times" else 2 * kappa
+    points = lowdisc.randomize(lowdisc.generate_base(dim, cfg.inner_points),
+                               cfg.randomization, rng, 1).points[0]
+    if cfg.mode == "rqmc-times":
+        return points.reshape(-1).tolist(), rng.standard_normal(n).tolist()
+    return _split(points, kappa)
+
+
+def _reference(model, bridge, cfg, kappa, u_time, draws):
+    """psi on the LazyBridge from one bridge's draws: point m's time
+    uniforms are u_time[m * kappa:(m + 1) * kappa], each paired with its
+    value draw in ``draws``. Each path takes its (time uniform, draw) pairs
+    in sorted order. A fresh time gets the draw's value: the draw is a
+    standard normal, or in rqmc-times-values a uniform through
+    ``value_at_with_uniform``. A repeated time, or one equal to a or b,
+    takes the value already on the path. In rqmc-times-values each point's
+    path starts from the two-point skeleton; otherwise the one shared path
+    stays in ``bridge``. Returns (value, n_bridge_queries, n_time_collisions)."""
     lo, hi = model.phi_bounds
     a, b = bridge.a, bridge.b
     span = b - a
-    snap = bridge.snapshot()
-    before = bridge.total_inserted
-    acc, collisions = 0.0, 0
-    for row in points:
-        prod = 1.0
-        for u_time, u_val in sorted(zip(row[:kappa].tolist(), row[kappa:].tolist())):
-            t = a + span * u_time
-            while t in {s for s, _ in bridge.skeleton()}:
-                u_time = np.nextafter(u_time, 2.0)
-                t = a + span * u_time
-                collisions += 1
-            if t > b:
-                raise NumericError("time collision walked past the interval end")
-            w = bridge.value_at_with_uniform(t, max(u_val, _TINY))
-            prod *= (hi - model.phi_scalar(w)) / (hi - lo)
-        acc += prod
-        bridge.restore(snap)
-    value = math.exp(-lo * span) * (acc / cfg.inner_points)
-    return value, collisions, bridge.total_inserted - before
+    m = cfg.inner_points
+    per_point = cfg.mode == "rqmc-times-values"
+    snap, before = bridge.snapshot(), bridge.total_inserted
+    acc = 0.0
+    for on_path in ([[p] for p in range(m)] if per_point else [range(m)]):
+        slots = [i for p in on_path for i in range(p * kappa, (p + 1) * kappa)]
+        for ut, d in sorted((u_time[i], draws[i]) for i in slots):
+            t = min(a + span * ut, b)
+            if t not in dict(bridge.skeleton()):
+                if per_point:
+                    bridge.value_at_with_uniform(t, max(d, _TINY))
+                else:
+                    bridge._value_at_with_normal(t, d)
+        path = dict(bridge.skeleton())
+        for p in on_path:
+            prod = 1.0
+            for ut in u_time[p * kappa:(p + 1) * kappa]:
+                prod *= (hi - model.phi_scalar(path[min(a + span * ut, b)])) / (hi - lo)
+            acc += prod
+        if per_point:
+            bridge.restore(snap)
+    queries = bridge.total_inserted - before
+    return math.exp(-lo * span) * (acc / m), queries, m * kappa - queries
 
 
 def _close(model, value, ref_value, span):
@@ -257,12 +269,19 @@ def _close(model, value, ref_value, span):
     return math.isclose(value, ref_value, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
-def _assert_matches_reference(model, est, ref, kappa, span):
-    value, collisions, queries = ref
-    assert est.kappa == kappa and est.mode == "rqmc-times-values"
-    assert est.n_bridge_queries == queries
-    assert est.n_time_collisions == collisions
-    assert _close(model, est.value, value, span)
+def _assert_matches_reference(model, cfg, kappa, a, b, x_a, x_b, rng, draws):
+    """An estimate on a batch of one from ``rng`` against ``_reference`` on
+    ``draws``, the same draws; returns the estimate."""
+    br, ref_br = LazyBridge(a, x_a, b, x_b), LazyBridge(a, x_a, b, x_b)
+    est = psi.estimate_with_kappa(model, br, cfg, rng, kappa)
+    value, queries, collisions = _reference(model, ref_br, cfg, kappa, *draws)
+    assert (est.kappa, est.mode) == (kappa, cfg.mode)
+    assert (est.n_bridge_queries, est.n_time_collisions) == (queries, collisions)
+    assert [t for t, _ in br.skeleton()] == [t for t, _ in ref_br.skeleton()]
+    for (_, w), (_, ref_w) in zip(br.skeleton(), ref_br.skeleton()):
+        assert math.isclose(w, ref_w, rel_tol=1e-12, abs_tol=1e-12)
+    assert _close(model, est.value, value, b - a)
+    return est
 
 
 @pytest.mark.parametrize("scheme", ["digital-shift", "owen-scramble"])
@@ -274,13 +293,9 @@ def test_times_values_kernel_matches_bridge_reference(model, scheme):
             cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=m,
                                 randomization=scheme)
             for rep in range(3):
-                x_a, x_b = 0.4 * rep - 0.3, 1.1 - 0.7 * rep
                 r1, r2 = stream(15, kappa, m, rep), stream(15, kappa, m, rep)
-                est = psi.estimate_with_kappa(model, LazyBridge(0.5, x_a, 2.0, x_b),
-                                              cfg, r1, kappa)
-                ref = _reference_times_values(model, LazyBridge(0.5, x_a, 2.0, x_b), cfg,
-                                              _drawn_points(cfg, 2 * kappa, r2), kappa)
-                _assert_matches_reference(model, est, ref, kappa, 1.5)
+                _assert_matches_reference(model, cfg, kappa, 0.5, 2.0, 0.4 * rep - 0.3,
+                                          1.1 - 0.7 * rep, r1, _drawn(cfg, kappa, r2))
                 assert r1.random() == r2.random()  # same draws from the stream
 
 
@@ -298,83 +313,78 @@ def _fixed_points(monkeypatch, rows):
     return pts
 
 
+_TOP = float(np.nextafter(1.0, 0.0))  # the largest uniform below 1
+
+
 @pytest.mark.parametrize("a,b,rows", [
-    # a triple duplicate: the third time first lands on the first, then on
-    # the second, before it is fresh
+    # a triple duplicate: the second and third take the first one's value
     (0.0, 1.0, [[0.4375, 0.4375, 0.4375, 0.1, 0.9, 0.5],
                 [0.25, 0.75, 0.25, 0.0, 0.3, 0.6]]),
-    # a zero time coordinate collides with a; a zero value uniform
+    # a zero time coordinate lands on a; a zero value uniform
     (0.0, 1.0, [[0.0, 0.5, 0.0, 0.0, 0.2, 0.8],
                 [0.0, 0.0, 0.9, 0.4, 0.5, 0.6]]),
-    # far from 0 one ulp of the uniform rarely moves t: many nudges each
+    # the same duplicates far from 0
     (40.0, 41.0, [[0.25, 0.25, 0.25, 0.7, 0.2, 0.4],
                   [0.5, 0.125, 0.5, 0.3, 0.3, 0.3]]),
+    # each point's two times are one
+    (0.0, 1.0, [[0.4375] * 4] * 2),
+    # a time just below b, twice
+    (0.0, 1.0, [[_TOP, _TOP, 0.5, 0.5]]),
 ])
 def test_times_values_forced_collisions_match_reference(monkeypatch, a, b, rows):
     pts = _fixed_points(monkeypatch, rows)
+    m, kappa = pts.shape[0], pts.shape[1] // 2
+    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=m)
     for model in (builtin("sine"), builtin("scaled-sine", theta=1.7)):
-        cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=2)
-        est = psi.estimate_with_kappa(model, LazyBridge(a, 0.2, b, -0.4), cfg,
-                                      stream(16, 1), 3)
-        ref = _reference_times_values(model, LazyBridge(a, 0.2, b, -0.4), cfg, pts, 3)
-        assert ref[1] >= 2
-        _assert_matches_reference(model, est, ref, 3, b - a)
+        est = _assert_matches_reference(model, cfg, kappa, a, b, 0.2, -0.4, stream(16, 1),
+                                        _split(pts, kappa))
+        assert est.n_time_collisions > 0
         # the same points for a cloud of bridges through estimate_cloud
         n = 64
         x_a, x_b = np.linspace(-2.0, 2.0, n), np.cos(np.arange(n))
         cloud = _unstacked(psi.estimate_cloud(model, a, b, x_a, x_b, cfg,
                                               stream(17, 1)))
-        hit = [i for i, e in enumerate(cloud) if e.kappa == 3]  # the rows' kappa
+        hit = [i for i, e in enumerate(cloud) if e.kappa == kappa]  # the rows' kappa
         assert len(hit) >= 2
         for i in hit:
-            ref = _reference_times_values(model, LazyBridge(a, x_a[i], b, x_b[i]),
-                                          cfg, pts, 3)
-            assert cloud[i].n_time_collisions == ref[1] >= 2
-            assert _close(model, cloud[i].value, ref[0], b - a)
-
-
-def test_times_values_collision_past_the_end_is_numeric_failure(monkeypatch):
-    top = np.nextafter(1.0, 0.0)  # largest uniform below 1: t lands just below b
-    pts = _fixed_points(monkeypatch, [[top, top, 0.5, 0.5]])
-    cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=1)
-    for estimate, draws in ((psi.estimate_with_kappa, stream(18, 1)),
-                            (_reference_times_values, pts)):
-        with pytest.raises(NumericError, match="walked past"):
-            estimate(builtin("sine"), LazyBridge(0.0, 0.0, 1.0, 0.0), cfg, draws, 2)
+            value, queries, collisions = _reference(
+                model, LazyBridge(a, x_a[i], b, x_b[i]), cfg, kappa, *_split(pts, kappa))
+            assert (cloud[i].n_bridge_queries, cloud[i].n_time_collisions) == (
+                queries, collisions)
+            assert _close(model, cloud[i].value, value, b - a)
 
 
 def test_times_values_zero_time_uniform_far_from_zero_returns(monkeypatch):
-    # on [40, 41] a time uniform 0 lands on a, and about 2^52 one-ulp
-    # nudges from 0 pass before 40 + u moves; the walk jumps over them
+    # on [40, 41] a time uniform 0 lands on a, so the path takes x_a there
     _fixed_points(monkeypatch, [[0.0, 0.5]])
     cfg = psi.PsiConfig(mode="rqmc-times-values", inner_points=1)
     sine = builtin("sine")
-
-    def too_slow(signum, frame):
-        raise TimeoutError("the estimate did not return within 1 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        est = psi.estimate_with_kappa(sine, LazyBridge(40.0, 0.2, 41.0, -0.4), cfg,
-                                      stream(26, 1), 1)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    # the least uniform u with 40 + u > 40, by bisection on the bit
-    # patterns, which count the ulps from 0
-    below, above = 0, int(np.float64(1.0).view(np.int64))
-    while above - below > 1:
-        mid = (below + above) // 2
-        if 40.0 + np.int64(mid).view(np.float64) > 40.0:
-            above = mid
-        else:
-            below = mid
-    u = float(np.int64(above).view(np.float64))
-    assert est.n_time_collisions == above and est.n_bridge_queries == 1
+    est = _assert_matches_reference(sine, cfg, 1, 40.0, 41.0, 0.2, -0.4, stream(26, 1),
+                                    ([0.0], [0.5]))
+    assert (est.n_bridge_queries, est.n_time_collisions) == (0, 1)
     lo, hi = sine.phi_bounds
-    w = LazyBridge(40.0, 0.2, 41.0, -0.4).value_at_with_uniform(40.0 + u, 0.5)
-    assert _close(sine, est.value, math.exp(-lo) * (hi - sine.phi_scalar(w)) / (hi - lo), 1.0)
+    assert _close(sine, est.value, math.exp(-lo) * (hi - sine.phi_scalar(0.2)) / (hi - lo), 1.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    psi.PsiConfig(mode="mc", inner_points=16),
+    psi.PsiConfig(mode="rqmc-times", inner_points=16),
+    psi.PsiConfig(mode="rqmc-times-values", inner_points=16),
+    psi.PsiConfig(mode="rqmc-times-values", inner_points=16, randomization="owen-scramble"),
+], ids=["mc", "rqmc-times", "rqmc-times-values-shift", "rqmc-times-values-owen"])
+def test_far_gap_kernel_matches_bridge_reference(cfg):
+    # the doubles of [1e15, 1e15 + 1] are 1/8 apart, so times repeat and
+    # land on a and b, and a path holds at most the 7 interior ones
+    sine = builtin("sine")
+    paths = cfg.inner_points if cfg.mode == "rqmc-times-values" else 1
+    collisions = 0
+    for kappa in range(1, 7):
+        r1, r2 = stream(27, kappa), stream(27, kappa)
+        est = _assert_matches_reference(sine, cfg, kappa, 1e15, 1e15 + 1, 0.2, -0.4, r1,
+                                        _drawn(cfg, kappa, r2))
+        assert est.n_bridge_queries <= 7 * paths
+        collisions += est.n_time_collisions
+    assert collisions > 0
 
 
 def test_times_values_needs_a_two_point_skeleton():
@@ -405,49 +415,6 @@ class _Draws:
         return np.zeros(size, dtype)
 
 
-def _reference_shared(model, bridge, cfg, kappa, u_time, normals):
-    """mc / rqmc-times on the LazyBridge: the (time uniform, normal) pairs
-    in sorted order, the normal's value at a fresh time, the value already
-    on the path at a repeated time or at a or b. Point m's times are
-    u_time[m * kappa:(m + 1) * kappa]. The path stays in ``bridge``."""
-    lo, hi = model.phi_bounds
-    a, b = bridge.a, bridge.b
-    span = b - a
-    for ut, z in sorted(zip(u_time, normals)):
-        t = min(a + span * ut, b)
-        if t not in dict(bridge.skeleton()):
-            bridge._value_at_with_normal(t, z)
-    path = dict(bridge.skeleton())
-    acc = 0.0
-    for m in range(cfg.inner_points):
-        prod = 1.0
-        for ut in u_time[m * kappa:(m + 1) * kappa]:
-            prod *= (hi - model.phi_scalar(path[min(a + span * ut, b)])) / (hi - lo)
-        acc += prod
-    return math.exp(-lo * span) * (acc / cfg.inner_points)
-
-
-def _shared_draws(cfg, kappa, rng):
-    """The time uniforms, then the normals, that mc and rqmc-times draw
-    from ``rng`` for one estimate."""
-    n = cfg.inner_points * kappa
-    times = rng.random(n) if cfg.mode == "mc" else _drawn_points(cfg, kappa, rng)
-    return times.reshape(-1).tolist(), rng.standard_normal(n).tolist()
-
-
-def _assert_shared_matches_reference(model, cfg, kappa, a, b, x_a, x_b, rng, ref_draws):
-    br, ref_br = LazyBridge(a, x_a, b, x_b), LazyBridge(a, x_a, b, x_b)
-    est = psi.estimate_with_kappa(model, br, cfg, rng, kappa)
-    ref = _reference_shared(model, ref_br, cfg, kappa, *ref_draws)
-    assert (est.kappa, est.mode, est.n_time_collisions) == (kappa, cfg.mode, 0)
-    assert est.n_bridge_queries == ref_br.total_inserted == br.total_inserted
-    assert [t for t, _ in br.skeleton()] == [t for t, _ in ref_br.skeleton()]
-    for (_, w), (_, ref_w) in zip(br.skeleton(), ref_br.skeleton()):
-        assert math.isclose(w, ref_w, rel_tol=1e-12, abs_tol=1e-12)
-    assert _close(model, est.value, ref, b - a)
-    return est
-
-
 @pytest.mark.parametrize("cfg", [
     psi.PsiConfig(mode="mc", inner_points=1),
     psi.PsiConfig(mode="mc", inner_points=16),
@@ -460,9 +427,8 @@ def test_shared_path_kernel_matches_bridge_reference(model, cfg):
     for kappa in range(1, 7):
         for rep in range(3):
             r1, r2 = stream(21, kappa, rep), stream(21, kappa, rep)
-            _assert_shared_matches_reference(model, cfg, kappa, 0.5, 2.0,
-                                             0.4 * rep - 0.3, 1.1 - 0.7 * rep, r1,
-                                             _shared_draws(cfg, kappa, r2))
+            _assert_matches_reference(model, cfg, kappa, 0.5, 2.0, 0.4 * rep - 0.3,
+                                      1.1 - 0.7 * rep, r1, _drawn(cfg, kappa, r2))
             assert r1.random() == r2.random()  # same draws from the stream
 
 
@@ -475,9 +441,10 @@ def test_shared_path_forced_duplicates_and_endpoints(monkeypatch, mode):
     _fixed_points(monkeypatch, np.reshape(u_time, (4, 2)))
     cfg = psi.PsiConfig(mode=mode, inner_points=4)
     sine = builtin("sine")
-    est = _assert_shared_matches_reference(sine, cfg, 2, 40.0, 41.0, 0.2, -0.4,
-                                           _Draws(u_time, normals), (u_time, normals))
-    assert est.n_bridge_queries == 2  # 0.25 and 0.7; the rest are known
+    est = _assert_matches_reference(sine, cfg, 2, 40.0, 41.0, 0.2, -0.4,
+                                    _Draws(u_time, normals), (u_time, normals))
+    # 0.25 and 0.7 are fresh; the rest take known values
+    assert (est.n_bridge_queries, est.n_time_collisions) == (2, 6)
 
 
 def test_phi_above_upper_bound_is_numeric_failure():
@@ -529,13 +496,13 @@ def test_estimate_cloud_matches_per_particle_estimates(mode, scheme):
         assert 0 < sum(e.mode == "mc-fallback" for e in cloud) < n
 
 
-def test_cloud_nudges_stay_in_their_kappa_group(monkeypatch):
-    # one cloud holds kappa 0, per-point groups (kappa 3 with forced time
-    # collisions) and mc-fallback groups above the cap of 3, whose shared
+def test_cloud_repeats_stay_in_their_kappa_group(monkeypatch):
+    # one cloud holds kappa 0, per-point groups (kappa 3, whose forced rows
+    # repeat times) and mc-fallback groups above the cap of 3, whose shared
     # paths each repeat a time; each particle equals its own estimate on a
-    # batch of one, so a nudge in one group moves nothing in another
-    _fixed_points(monkeypatch, [[0.4375, 0.4375, 0.4375, 0.1, 0.9, 0.5],
-                                [0.25, 0.75, 0.25, 0.0, 0.3, 0.6]])
+    # batch of one, and each per-point one equals the reference
+    pts = _fixed_points(monkeypatch, [[0.4375, 0.4375, 0.4375, 0.1, 0.9, 0.5],
+                                      [0.25, 0.75, 0.25, 0.0, 0.3, 0.6]])
     draws = psi._draws
 
     def repeated(mode, kappa, cfg, rng, g):
@@ -556,12 +523,15 @@ def test_cloud_nudges_stay_in_their_kappa_group(monkeypatch):
     assert cloud_rng.random() == twin.random()
     kappas = {e.kappa for e in cloud}
     assert {0, 1, 2, 3} <= kappas and max(kappas) > 3
-    for e in cloud:
+    for i, e in enumerate(cloud):
         if e.kappa == 3:
-            assert e.mode == "rqmc-times-values" and e.n_time_collisions >= 2
+            value, queries, collisions = _reference(
+                sine, LazyBridge(a, x_a[i], b, x_b[i]), cfg, 3, *_split(pts, 3))
+            assert e.mode == "rqmc-times-values" and _close(sine, e.value, value, b - a)
+            assert (e.n_bridge_queries, e.n_time_collisions) == (queries, collisions) == (3, 3)
         elif e.kappa > 3:
-            assert e.mode == "mc-fallback" and e.n_time_collisions == 0
-            assert e.n_bridge_queries < cfg.inner_points * e.kappa  # the repeat is known
+            assert e.mode == "mc-fallback" and e.n_time_collisions >= 1  # the repeat is known
+            assert e.n_bridge_queries + e.n_time_collisions == cfg.inner_points * e.kappa
 
 
 def test_estimate_cloud_is_one_kernel_pass(monkeypatch):
