@@ -17,6 +17,17 @@ from .proposal import MODE_TILTED, PROPOSALS, supports_tilted
 from .smc import RESAMPLING_SCHEMES, FilterConfig, check_observation_times
 
 
+# fine Euler steps in one simulated dataset: under it a sine dataset takes
+# seconds and its stored fine path fits in memory (~8,400 time units at the
+# default 2,000 steps per unit)
+MAX_EULER_STEPS = 2**24
+
+
+def euler_steps(gap: float, steps_per_unit: int) -> int:
+    """Fine Euler steps over one gap between observation times."""
+    return max(int(math.ceil(gap * steps_per_unit)), 1)
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -277,6 +288,18 @@ def oracle_settings(section: dict) -> dict:
     return out
 
 
+def _check_euler_grid(times: tuple[float, ...], steps_per_unit: int) -> None:
+    try:
+        total = sum(euler_steps(b - a, steps_per_unit) for a, b in zip((0.0, *times), times))
+    except OverflowError:  # a gap of more steps than a float holds
+        total = math.inf
+    if total > MAX_EULER_STEPS:
+        raise ConfigError(
+            f"euler_steps_per_unit, observation_times: the Euler grid would take "
+            f"more than {MAX_EULER_STEPS} fine steps; lower euler_steps_per_unit "
+            "or shorten observation_times")
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a JSON config object; raises ConfigError with field names."""
     if not isinstance(raw, dict):
@@ -347,6 +370,8 @@ def parse_config(raw: dict) -> RunConfig:
         oracle_settings(cfg.oracle)   # checked here, echoed as given
 
     model = cfg.build_model()  # validates name + params
+    if not models.has_exact_transition(model):  # simulate walks the Euler grid
+        _check_euler_grid(cfg.observation_times, cfg.euler_steps_per_unit)
     if cfg.proposal == MODE_TILTED and not supports_tilted(model):
         raise ConfigError(
             f"proposal: model {name!r} lacks a tilted sampler or normalizer; use \"gaussian\""

@@ -13,7 +13,8 @@ Points are held both as floats and as 53-bit integers; all randomization
 happens on the integer form, so regenerating with the same
 (dimension, count, scheme, seed) is bit-identical. The base set is
 deterministic in (dimension, count), so it is built once per pair and
-shared, with read-only arrays.
+shared, with read-only arrays, while it fits the byte budget
+``_MEMO_BYTES`` that every table memoized here shares.
 
 Nested uniform scrambling (Owen 1995) needs one fair flip bit per node
 of each coordinate's dyadic tree that holds a point. Which nodes those
@@ -26,8 +27,9 @@ remaining flips are one uniform integer. A scramble is then one draw of
 per point for each coordinate, folded through that layout.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from importlib import resources
 
 import numpy as np
@@ -48,6 +50,7 @@ _LEVEL_BIT = (N_BITS - 1 - np.arange(N_BITS)).astype(np.uint64)[:, None]  # flip
 _WORD_BITS = 64          # bits per raw word of the bit generator
 _BIT_POS = np.arange(_WORD_BITS, dtype=np.uint64)
 _BLOCK_WORDS = 2**20     # words of draw and heap gather per block of scramble rows
+_MEMO_BYTES = 2**25      # bytes of bases, layouts and heaps kept between calls
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +101,50 @@ def _direction_integers(dimension: int) -> np.ndarray:
     return np.array(v, dtype=np.uint64)
 
 
+_memo: OrderedDict = OrderedDict()  # (function, args) -> (table, bytes), least recent first
+
+
+def _memoized(nbytes):
+    """Memoize a table on its arguments, under the one byte budget
+    _MEMO_BYTES that all such tables share: the least recently used go
+    first, and a table whose ``nbytes(args, table)`` alone exceeds the
+    budget is built per call and not kept."""
+    def wrap(fn):
+        @wraps(fn)
+        def memo(*args):
+            key = (fn, args)
+            if key in _memo:
+                _memo.move_to_end(key)
+                return _memo[key][0]
+            table = fn(*args)
+            size = nbytes(args, table)
+            if size <= _MEMO_BYTES:
+                _memo[key] = (table, size)
+                while sum(b for _, b in _memo.values()) > _MEMO_BYTES:
+                    _memo.popitem(last=False)
+            return table
+        return memo
+    return wrap
+
+
+def _base_bytes(ps: PointSet) -> int:
+    return ps.points.nbytes + ps.ipoints.nbytes
+
+
 def _to_floats(ipoints: np.ndarray) -> np.ndarray:
     return ipoints * (1.0 / _SCALE)     # exact: below 2**53, times a power of two
 
 
-@lru_cache(maxsize=256)
+@_memoized(lambda args, base: _base_bytes(base))
 def generate_base(dimension: int, count: int) -> PointSet:
     """First ``count`` points of the base-2 digital sequence, unrandomized.
 
     Point i is the XOR of the direction integers selected by the binary
     digits of i (natural order, so the ordering convention pinned by the
-    tests is x_0=0, x_1=0.5, x_2=0.25, ... in one dimension). Memoized:
-    every call with the same (dimension, count) returns one shared point
-    set whose arrays are read-only.
+    tests is x_0=0, x_1=0.5, x_2=0.25, ... in one dimension). The arrays
+    are read-only, and every call with the same (dimension, count) returns
+    one shared point set while it fits the memo's byte budget (every base
+    of up to 64 points in 64 dimensions does).
     """
     if not 1 <= dimension <= MAX_DIMENSION:
         raise UnsupportedDimensionError(
@@ -131,7 +165,8 @@ def generate_base(dimension: int, count: int) -> PointSet:
     return PointSet(dimension, count, points, SCHEME_NONE, None, ipoints)
 
 
-@lru_cache(maxsize=256)
+# the key holds the base, so the base counts against the budget too
+@_memoized(lambda args, layout: _base_bytes(args[0]) + layout[1].nbytes + layout[2].nbytes)
 def _scramble_layout(base: PointSet) -> tuple[int, np.ndarray, np.ndarray]:
     """The nodes that the points of ``base`` occupy in each coordinate's
     scramble tree, as (depth, top, rank) with top and rank of shape (d, M).
@@ -182,7 +217,7 @@ def apply_digital_shift(base: PointSet, shifts: np.ndarray) -> PointSet:
                     SCHEME_DIGITAL_SHIFT, base.seed, ipoints)
 
 
-@lru_cache(maxsize=32)
+@_memoized(lambda args, nodes: nodes.nbytes)
 def _heap_nodes(depth: int) -> np.ndarray:
     """(depth, 2**depth): row l holds, for each depth-bit prefix q, the
     node of level l above it in the heap of a tree's top levels,

@@ -50,6 +50,12 @@ class DriftModel:
     tilted_log_normalizer: Callable | None = None
 
 
+def has_exact_transition(model: DriftModel) -> bool:
+    """Whether the tilted sampler draws the transition law itself: it does
+    when phi is constant, since the weight exp(-int phi) is then constant."""
+    return model.phi_bounds[0] == model.phi_bounds[1] and model.tilted_sampler is not None
+
+
 def phi(model: DriftModel, u):
     """(alpha(u)^2 + alpha'(u)) / 2, scalar or array."""
     a = model.alpha(u)
@@ -183,10 +189,21 @@ def _make_scaled_sine(theta: float) -> DriftModel:
         s = math.sin(u)
         return (th * th * s * s + th * math.cos(u)) / 2.0
 
+    def alpha(u):
+        # simulate's Euler loop passes Python floats, where math.sin costs a
+        # quarter of np.sin; both call the C library's sin on glibc builds,
+        # so the bits agree (tests/test_models.py holds them to it)
+        if type(u) is float:
+            try:
+                return th * math.sin(u)
+            except ValueError:  # u is +-inf, where np.sin gives nan
+                return float(th * np.sin(u))
+        return th * np.sin(u)
+
     name = "sine" if th == 1.0 else "scaled-sine"
     return DriftModel(
         name=name,
-        alpha=lambda u: th * np.sin(u),
+        alpha=alpha,
         alpha_prime=a_prime,
         big_a=big_a,
         phi_bounds=_scaled_sine_bounds(th),

@@ -9,12 +9,13 @@ exact observations.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
-from .models import DriftModel
+from .config import RunConfig, euler_steps
+from .models import DriftModel, has_exact_transition
 from .rngs import NS_SIMULATE, stream
 
 
@@ -68,11 +69,12 @@ class Dataset:
 
 
 def _euler_segment(model: DriftModel, x0: float, a: float, b: float,
-                   steps_per_unit: int, rng) -> tuple[np.ndarray, list[float]]:
-    """The fine grid's times on (a, b] and the Euler path's values on them."""
-    n = max(int(math.ceil((b - a) * steps_per_unit)), 1)
+                   steps_per_unit: int, rng) -> tuple[Iterator[float], list[float]]:
+    """The fine grid's times on (a, b], lazily, since only a stored fine
+    path reads them, and the Euler path's values on them."""
+    n = euler_steps(b - a, steps_per_unit)
     dt = (b - a) / n
-    ts = a + dt * np.arange(1, n + 1)
+    ts = (a + dt * k for k in range(1, n + 1))
     xs = []
     x = x0
     alpha = model.alpha
@@ -94,9 +96,7 @@ def simulate(cfg: RunConfig) -> Dataset:
     fine_x: list[float] = []
     x = float(cfg.x0)
     prev_t = 0.0
-    # with phi constant the tilted kernel is the transition law
-    exact = (model.phi_bounds[0] == model.phi_bounds[1]
-             and model.tilted_sampler is not None)
+    exact = has_exact_transition(model)
     for t in times:
         if exact:
             x = float(model.tilted_sampler(x, t - prev_t, rng))
@@ -104,7 +104,7 @@ def simulate(cfg: RunConfig) -> Dataset:
             ts, xs = _euler_segment(model, x, prev_t, t, cfg.euler_steps_per_unit, rng)
             x = xs[-1]
             if cfg.store_fine_path:
-                fine_t.extend(ts.tolist())
+                fine_t.extend(ts)
                 fine_x.extend(xs)
         latent.append(x)
         prev_t = t

@@ -9,6 +9,7 @@ import pytest
 
 from qmc_oracle import projection_quality, shift_from_floats
 from rwpf import cli, lowdisc, oracles, smc
+from rwpf.config import MAX_EULER_STEPS
 from rwpf.errors import DegeneracyError
 
 
@@ -336,6 +337,19 @@ def test_long_gap_overflow_exits_3(tmp_path):
         assert r.stderr.startswith("numeric error: ")
         assert "gap of b-a=1500" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("top", [
+    {"observation_times": [1e12]},                       # 14.2 PiB of grid
+    {"euler_steps_per_unit": 10**21},                    # past numpy's array size
+    {"observation_times": [MAX_EULER_STEPS / 2000 + 0.0005]},  # one step over the cap
+])
+def test_oversized_euler_grid_exits_2(tmp_path, top):
+    cfg = _write_config(tmp_path / "cfg.json", model={"name": "sine"}, **top)
+    r = _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error: euler_steps_per_unit, observation_times: ")
+    assert "Traceback" not in r.stderr
 
 
 def test_tanh_far_below_origin_simulates_and_filters(tmp_path):

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import warnings
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -102,6 +105,34 @@ def test_memoized_base_is_read_only_and_randomizes_unchanged(scheme, digest):
     fresh = lowdisc.randomize(lowdisc.generate_base.__wrapped__(5, 32), scheme, 11)
     assert np.array_equal(fresh.ipoints, ps.ipoints)
     assert np.array_equal(fresh.points, ps.points)
+
+
+def test_tables_above_the_byte_budget_are_not_kept(monkeypatch):
+    # a 1 MB base and its 0.5 MB layout: the layout alone fits the budget,
+    # with the base that its key holds it does not
+    monkeypatch.setattr(lowdisc, "_MEMO_BYTES", 600_000)
+    monkeypatch.setattr(lowdisc, "_memo", OrderedDict())
+    base = lowdisc.generate_base(64, 1000)
+    assert lowdisc.generate_base(64, 1000) is not base
+    depth, top, rank = lowdisc._scramble_layout(base)
+    held = [weakref.ref(a) for a in (base, base.ipoints, top, rank)]
+    lowdisc.randomize(base, "owen-scramble", 3)
+    del base, top, rank
+    gc.collect()
+    assert [ref() for ref in held] == [None] * len(held)
+    nodes = lowdisc._heap_nodes(depth)        # 40 kB at depth 10
+    assert lowdisc._heap_nodes(depth) is nodes
+    monkeypatch.setattr(lowdisc, "_MEMO_BYTES", 10_000)
+    monkeypatch.setattr(lowdisc, "_memo", OrderedDict())
+    assert lowdisc._heap_nodes(depth) is not nodes
+    assert not lowdisc._memo
+    small = lowdisc.generate_base(2, 8)
+    assert lowdisc.generate_base(2, 8) is small
+    # the least recently used go first once the kept tables pass the budget
+    bases = [lowdisc.generate_base(2, m) for m in (100, 101, 102, 103)]  # 3.2 kB each
+    assert lowdisc.generate_base(2, 103) is bases[3]
+    assert lowdisc.generate_base(2, 100) is not bases[0]
+    assert sum(size for _, size in lowdisc._memo.values()) <= 10_000
 
 
 def _stream(seed):

@@ -126,3 +126,31 @@ def test_builtin_cache_returns_same_instance():
     assert builtin("sine") is builtin("sine")
     assert builtin("scaled-sine", theta=1.5) is builtin("scaled-sine", theta=1.5)
     assert builtin("scaled-sine", theta=1.5) is not builtin("scaled-sine", theta=2.0)
+
+
+# +-0.0, the least subnormal and a larger one, then far, negative, wide and nan
+FLOAT_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -7.3, 1e4, math.nan]
+
+
+@pytest.mark.parametrize("name,params", [("sine", {}), ("scaled-sine", {"theta": 1.7})])
+def test_sine_drift_on_floats_is_the_array_form_bit_for_bit(name, params):
+    alpha = builtin(name, **params).alpha
+    for x in FLOAT_INPUTS:
+        got = alpha(x)
+        assert type(got) is float, x
+        assert np.float64(got).tobytes() == alpha(np.array([x]))[0].tobytes(), x
+    # math.sin raises on +-inf; the drift gives nan there, as np.sin does
+    with np.errstate(invalid="ignore"):
+        for x in (math.inf, -math.inf):
+            got = alpha(x)
+            assert type(got) is float and math.isnan(got)
+            assert np.float64(got).tobytes() == alpha(np.array([x]))[0].tobytes()
+    assert type(alpha(np.float64(-7.3))) is np.float64
+    assert alpha(np.float64(-7.3)) == alpha(-7.3)
+
+
+def test_exact_transition_only_where_phi_is_constant():
+    assert models.has_exact_transition(builtin("zero"))
+    assert models.has_exact_transition(builtin("tanh"))
+    assert not models.has_exact_transition(builtin("sine"))
+    assert not models.has_exact_transition(builtin("scaled-sine", theta=1.7))
